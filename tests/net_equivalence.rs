@@ -10,6 +10,10 @@
 //! 2. **Explicit-vs-implicit.** `Engine::with_network(Infinite)` must be
 //!    indistinguishable from never calling `with_network` at all: identical
 //!    report *and* identical request trace, for all eight strategies.
+//! 3. **Fault and tree golden values.** [`PATH_GOLDEN`] pins what
+//!    [`GOLDEN`] cannot reach: failure re-allocation, a straggler and
+//!    speed jitter on the flat engine, and rectangular tree shards with
+//!    per-shard two-phase thresholds.
 //!
 //! A third test exercises the acceptance criterion of the subsystem itself:
 //! under a tight one-port master link, `DynamicOuter`'s lower communication
@@ -20,8 +24,8 @@ use hetsched::core::{run_once, BetaChoice, ExperimentConfig, Kernel, Strategy};
 use hetsched::matmul::{DynamicMatrix, DynamicMatrix2Phases, RandomMatrix, SortedMatrix};
 use hetsched::net::NetworkModel;
 use hetsched::outer::{DynamicOuter, DynamicOuter2Phases, RandomOuter, SortedOuter};
-use hetsched::platform::{Platform, SpeedModel};
-use hetsched::sim::{Engine, Scheduler, SimReport, Trace};
+use hetsched::platform::{FailureModel, Platform, ProcId, SpeedModel};
+use hetsched::sim::{Engine, Scheduler, SimReport, Topology, Trace};
 use hetsched::util::rng::rng_for;
 
 const SEED: u64 = 0x5EED;
@@ -255,4 +259,287 @@ fn one_port_sweep_has_a_crossover_where_dynamic_wins() {
         (rand_hi - rand_free).abs() / rand_free < 0.05,
         "free {rand_free} vs ample one-port {rand_hi}"
     );
+}
+
+/// One pinned run of the fault-injected flat scenario or the two-sub-master
+/// tree scenario below.
+struct PathGolden {
+    kernel: Kernel,
+    strategy: Strategy,
+    tree: bool,
+    blocks: u64,
+    makespan_bits: u64,
+    lost: u64,
+    reshipped: u64,
+    tasks: &'static [u64],
+    phase_split: Option<(u64, u64, usize, usize)>,
+}
+
+/// The paths [`GOLDEN`] does not reach: worker failure (the orphan
+/// re-allocation branches of every strategy), a straggler and `dyn5`
+/// speed jitter on a flat run, and a two-sub-master tree run (rectangular
+/// shards, per-shard two-phase thresholds from β and from a phase-1
+/// fraction).
+fn path_cfg(kernel: Kernel, strategy: Strategy, tree: bool) -> ExperimentConfig {
+    if tree {
+        return ExperimentConfig {
+            kernel,
+            strategy,
+            processors: 8,
+            topology: Topology::Tree { submasters: 2 },
+            ..Default::default()
+        };
+    }
+    let fail_time = match kernel {
+        Kernel::Outer { .. } => 0.93,
+        Kernel::Matmul { .. } => 1.63,
+    };
+    ExperimentConfig {
+        kernel,
+        strategy,
+        processors: 6,
+        speed_model: SpeedModel::dyn5(),
+        failures: FailureModel::none()
+            .fail_at(ProcId(1), fail_time)
+            .slow_down(ProcId(3), 2.5),
+        ..Default::default()
+    }
+}
+
+/// Captured before the strategies became one generic family, with the
+/// configurations of [`path_cfg`] and seed [`SEED`]. Like [`GOLDEN`], a
+/// change here is a behavior change.
+const PATH_GOLDEN: [PathGolden; 18] = [
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::Random,
+        tree: false,
+        blocks: 242,
+        makespan_bits: 0x4000e280b0de3f67,
+        lost: 1,
+        reshipped: 0,
+        tasks: &[83, 18, 142, 14, 172, 147],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::Sorted,
+        tree: false,
+        blocks: 246,
+        makespan_bits: 0x40011d44b1355353,
+        lost: 1,
+        reshipped: 0,
+        tasks: &[83, 18, 142, 14, 172, 147],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::Dynamic,
+        tree: false,
+        blocks: 184,
+        makespan_bits: 0x400be40255098634,
+        lost: 8,
+        reshipped: 12,
+        tasks: &[85, 12, 136, 23, 178, 142],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::TwoPhase(BetaChoice::Analytic),
+        tree: false,
+        blocks: 185,
+        makespan_bits: 0x400be40255098634,
+        lost: 8,
+        reshipped: 12,
+        tasks: &[83, 12, 140, 23, 171, 147],
+        phase_split: Some((172, 13, 564, 20)),
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::Random,
+        tree: false,
+        blocks: 1245,
+        makespan_bits: 0x400d2244d6ecc69b,
+        lost: 1,
+        reshipped: 1,
+        tasks: &[144, 32, 245, 24, 299, 256],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::Sorted,
+        tree: false,
+        blocks: 1310,
+        makespan_bits: 0x400d324b62771991,
+        lost: 1,
+        reshipped: 2,
+        tasks: &[144, 32, 245, 24, 299, 256],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::Dynamic,
+        tree: false,
+        blocks: 1089,
+        makespan_bits: 0x4010f0d0cf794e02,
+        lost: 27,
+        reshipped: 384,
+        tasks: &[140, 21, 259, 28, 298, 254],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::TwoPhase(BetaChoice::Analytic),
+        tree: false,
+        blocks: 866,
+        makespan_bits: 0x400e42e6dfb7d996,
+        lost: 27,
+        reshipped: 207,
+        tasks: &[145, 21, 249, 25, 301, 259],
+        phase_split: Some((759, 107, 963, 64)),
+    },
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::Random,
+        tree: true,
+        blocks: 345,
+        makespan_bits: 0x3ff56751596adfbb,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[53, 27, 90, 22, 111, 95, 77, 101],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::Sorted,
+        tree: true,
+        blocks: 342,
+        makespan_bits: 0x3ff56751596adfbb,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[53, 27, 90, 22, 111, 95, 77, 101],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::Dynamic,
+        tree: true,
+        blocks: 292,
+        makespan_bits: 0x3ffa03635eae5f08,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[53, 33, 85, 21, 108, 91, 87, 98],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::TwoPhase(BetaChoice::Analytic),
+        tree: true,
+        blocks: 272,
+        makespan_bits: 0x3ff81c12821b7ff7,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[53, 27, 90, 22, 107, 92, 87, 98],
+        phase_split: Some((186, 14, 557, 19)),
+    },
+    PathGolden {
+        kernel: Kernel::Outer { n: 24 },
+        strategy: Strategy::TwoPhase(BetaChoice::Phase1Fraction(0.7)),
+        tree: true,
+        blocks: 298,
+        makespan_bits: 0x3ff56751596adfb4,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[53, 27, 90, 22, 111, 95, 77, 101],
+        phase_split: Some((132, 94, 408, 168)),
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::Random,
+        tree: true,
+        blocks: 1675,
+        makespan_bits: 0x40038981c1b52e41,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[83, 42, 141, 34, 202, 173, 141, 184],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::Sorted,
+        tree: true,
+        blocks: 1672,
+        makespan_bits: 0x40038981c1b52e41,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[83, 42, 141, 34, 202, 173, 141, 184],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::Dynamic,
+        tree: true,
+        blocks: 1617,
+        makespan_bits: 0x4003d07341bb61d1,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[85, 41, 135, 39, 203, 175, 143, 179],
+        phase_split: None,
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::TwoPhase(BetaChoice::Analytic),
+        tree: true,
+        blocks: 1370,
+        makespan_bits: 0x40038981c1b52e4e,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[85, 41, 135, 39, 202, 173, 141, 184],
+        phase_split: Some((847, 123, 910, 90)),
+    },
+    PathGolden {
+        kernel: Kernel::Matmul { n: 10 },
+        strategy: Strategy::TwoPhase(BetaChoice::Phase1Fraction(0.7)),
+        tree: true,
+        blocks: 1419,
+        makespan_bits: 0x40038981c1b52e49,
+        lost: 0,
+        reshipped: 0,
+        tasks: &[83, 42, 141, 34, 202, 173, 141, 184],
+        phase_split: Some((596, 423, 705, 295)),
+    },
+];
+
+#[test]
+fn fault_and_tree_paths_match_golden_values() {
+    for g in &PATH_GOLDEN {
+        let cfg = path_cfg(g.kernel, g.strategy, g.tree);
+        let label = format!(
+            "{:?}/{}/tree={}",
+            g.strategy,
+            g.strategy.label(g.kernel),
+            g.tree
+        );
+        let r = run_once(&cfg, SEED);
+        assert_eq!(r.total_blocks, g.blocks, "{label}: blocks drifted");
+        assert_eq!(
+            r.makespan.to_bits(),
+            g.makespan_bits,
+            "{label}: makespan drifted ({} vs bits {:#018x})",
+            r.makespan,
+            g.makespan_bits
+        );
+        assert_eq!(r.lost_tasks, g.lost, "{label}: lost tasks drifted");
+        assert_eq!(
+            r.reshipped_blocks, g.reshipped,
+            "{label}: re-shipping drifted"
+        );
+        assert_eq!(r.tasks_per_proc, g.tasks, "{label}: task split drifted");
+        assert_eq!(r.phase_split, g.phase_split, "{label}: phase split drifted");
+        // The scenario must reach what it claims to: every flat run loses
+        // work to the failure.
+        if !g.tree {
+            assert!(g.lost > 0, "{label}: the failure struck an idle worker");
+        }
+    }
 }
