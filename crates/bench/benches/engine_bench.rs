@@ -54,26 +54,12 @@ fn bench_dynamic_speed_overhead(c: &mut Criterion) {
 }
 
 fn bench_event_queues(c: &mut Criterion) {
-    // The event queue never holds more than ~p+1 entries; compare the flat
-    // min-scan queue against the binary heap on a realistic churn pattern
+    // The event queue never holds more than ~p+1 entries; measure the
+    // binary heap (the engine's EventQueue) on a realistic churn pattern
     // (push/pop interleave with coarse time ties, as the engine produces).
-    // The heap (the engine's EventQueue) wins beyond p ≈ 50, which is why
-    // FlatScanQueue is the comparator and not the default.
     use hetsched_platform::ProcId;
-    use hetsched_sim::{EventQueue, FlatScanQueue};
+    use hetsched_sim::EventQueue;
 
-    fn churn(pushes: &[(f64, u32)], live: usize) -> f64 {
-        let mut q = FlatScanQueue::new();
-        let mut acc = 0.0;
-        for (i, &(t, k)) in pushes.iter().enumerate() {
-            q.push(t, ProcId(k));
-            if i >= live {
-                let (t, _) = q.pop().unwrap();
-                acc += t;
-            }
-        }
-        acc
-    }
     fn churn_heap(pushes: &[(f64, u32)], live: usize) -> f64 {
         let mut q = EventQueue::new();
         let mut acc = 0.0;
@@ -102,9 +88,6 @@ fn bench_event_queues(c: &mut Criterion) {
                 )
             })
             .collect();
-        group.bench_with_input(BenchmarkId::new("flat", p), &p, |b, &p| {
-            b.iter(|| black_box(churn(&pushes, p)))
-        });
         group.bench_with_input(BenchmarkId::new("heap", p), &p, |b, &p| {
             b.iter(|| black_box(churn_heap(&pushes, p)))
         });

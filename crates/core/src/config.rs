@@ -2,7 +2,7 @@
 
 use hetsched_net::NetworkModel;
 use hetsched_platform::{FailureModel, Platform, SpeedDistribution, SpeedModel};
-use hetsched_sim::Topology;
+use hetsched_sim::{TaskKernel, Topology};
 
 /// Which kernel to schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,17 +72,19 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Display label matching the paper's figure legends.
+    /// Display label matching the paper's figure legends: the
+    /// [`Scheduler::name`](hetsched_sim::Scheduler::name) of the strategy
+    /// the runner builds for `kernel`.
     pub fn label(&self, kernel: Kernel) -> &'static str {
+        let names = match kernel {
+            Kernel::Outer { .. } => hetsched_outer::Outer::NAMES,
+            Kernel::Matmul { .. } => hetsched_matmul::Matmul::NAMES,
+        };
         match (self, kernel) {
-            (Strategy::Random, Kernel::Outer { .. }) => "RandomOuter",
-            (Strategy::Sorted, Kernel::Outer { .. }) => "SortedOuter",
-            (Strategy::Dynamic, Kernel::Outer { .. }) => "DynamicOuter",
-            (Strategy::TwoPhase(_), Kernel::Outer { .. }) => "DynamicOuter2Phases",
-            (Strategy::Random, Kernel::Matmul { .. }) => "RandomMatrix",
-            (Strategy::Sorted, Kernel::Matmul { .. }) => "SortedMatrix",
-            (Strategy::Dynamic, Kernel::Matmul { .. }) => "DynamicMatrix",
-            (Strategy::TwoPhase(_), Kernel::Matmul { .. }) => "DynamicMatrix2Phases",
+            (Strategy::Random, _) => names.random,
+            (Strategy::Sorted, _) => names.sorted,
+            (Strategy::Dynamic, _) => names.dynamic,
+            (Strategy::TwoPhase(_), _) => names.two_phase,
             (Strategy::Static, Kernel::Outer { .. }) => "StaticOuter",
             (Strategy::Static, Kernel::Matmul { .. }) => "StaticOuter(unsupported)",
         }
@@ -308,13 +310,22 @@ mod tests {
     fn labels_match_paper() {
         let o = Kernel::Outer { n: 1 };
         let m = Kernel::Matmul { n: 1 };
-        assert_eq!(Strategy::Random.label(o), "RandomOuter");
-        assert_eq!(Strategy::Sorted.label(m), "SortedMatrix");
-        assert_eq!(
-            Strategy::TwoPhase(BetaChoice::Analytic).label(o),
-            "DynamicOuter2Phases"
-        );
-        assert_eq!(Strategy::Dynamic.label(m), "DynamicMatrix");
+        let two = Strategy::TwoPhase(BetaChoice::Analytic);
+        let labels = [
+            (Strategy::Random, o, "RandomOuter"),
+            (Strategy::Sorted, o, "SortedOuter"),
+            (Strategy::Dynamic, o, "DynamicOuter"),
+            (two, o, "DynamicOuter2Phases"),
+            (Strategy::Static, o, "StaticOuter"),
+            (Strategy::Random, m, "RandomMatrix"),
+            (Strategy::Sorted, m, "SortedMatrix"),
+            (Strategy::Dynamic, m, "DynamicMatrix"),
+            (two, m, "DynamicMatrix2Phases"),
+            (Strategy::Static, m, "StaticOuter(unsupported)"),
+        ];
+        for (strategy, kernel, label) in labels {
+            assert_eq!(strategy.label(kernel), label);
+        }
     }
 
     #[test]

@@ -3,12 +3,12 @@
 use crate::config::{BetaChoice, ExperimentConfig, Kernel, Strategy};
 use crate::shard::{plan_shards, ShardLayout};
 use hetsched_analysis::{MatmulAnalysis, OuterAnalysis};
-use hetsched_matmul::{DynamicMatrix, DynamicMatrix2Phases, RandomMatrix, SortedMatrix};
-use hetsched_outer::{DynamicOuter, DynamicOuter2Phases, RandomOuter, SortedOuter};
+use hetsched_matmul::Matmul;
+use hetsched_outer::Outer;
 use hetsched_platform::Platform;
 use hetsched_sim::{
-    run_tree_with, Recorder, Scheduler, ShardSpec, SimReport, StreamingSink, Topology, TreeOpts,
-    TreeOutcome,
+    run_tree_with, Dynamic, Random, Recorder, Scheduler, ShardSpec, SimReport, Sorted,
+    StreamingSink, TaskKernel, Topology, TreeOpts, TreeOutcome, TwoPhase,
 };
 use hetsched_util::rng::{derive_seed, rng_for};
 use hetsched_util::OnlineStats;
@@ -19,6 +19,10 @@ use rand::rngs::StdRng;
 const STREAM_PLATFORM: u64 = 0x11;
 const STREAM_RUN: u64 = 0x22;
 const STREAM_FAILURES: u64 = 0x33;
+
+/// `(phase1_blocks, phase2_blocks, phase1_tasks, phase2_tasks)` of a
+/// two-phase run.
+type PhaseSplit = (u64, u64, usize, usize);
 
 /// Outcome of a single seeded run.
 #[derive(Clone, Debug)]
@@ -172,7 +176,6 @@ pub(crate) fn run_once_impl<K: StreamingSink>(
     let n = cfg.kernel.n();
     let p = cfg.processors;
     let lb = cfg.kernel.lower_bound(&platform);
-    let mut rng = rng_for(seed, STREAM_RUN);
 
     // Resolve β (and hence the threshold) if needed.
     let beta_used = match (&cfg.strategy, &cfg.kernel) {
@@ -192,101 +195,113 @@ pub(crate) fn run_once_impl<K: StreamingSink>(
         _ => None,
     };
 
-    // Tree topology: the root statically splits workers and grid across
-    // sub-masters; each shard runs its flat strategy unchanged. A single
-    // sub-master goes through the same code path but is bit-for-bit
-    // identical to the flat dispatch below (same platform borrow, same
-    // RNG stream, no tier transfers).
-    if let Topology::Tree { submasters } = cfg.topology {
-        let (report, phase_split) =
-            run_tree_impl(cfg, &platform, submasters, seed, beta_used, &mut rec);
-        return finish(cfg, report, phase_split, beta_used, lb, platform);
+    // StaticOuter is outside the paper's strategy family and runs flat
+    // only (validate() rejects it on matmul and under a tree).
+    if cfg.strategy == Strategy::Static {
+        let sched = hetsched_partition::StaticOuter::new(n, &platform);
+        let mut rng = rng_for(seed, STREAM_RUN);
+        let (report, _) = drive(&platform, cfg, sched, &mut rng, &mut rec);
+        return finish(cfg, report, None, beta_used, lb, platform);
     }
 
-    // Dispatch on (kernel, strategy). Each arm runs the generic engine with
-    // its concrete scheduler and harvests strategy-specific accounting.
-    let (report, phase_split) = match (cfg.kernel, cfg.strategy) {
-        (Kernel::Outer { n }, Strategy::Random) => {
-            let (r, _) = drive(&platform, cfg, RandomOuter::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Outer { n }, Strategy::Sorted) => {
-            let (r, _) = drive(&platform, cfg, SortedOuter::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Outer { n }, Strategy::Dynamic) => {
-            let (r, _) = drive(&platform, cfg, DynamicOuter::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Outer { n }, Strategy::Static) => {
-            let (r, _) = drive(
-                &platform,
-                cfg,
-                hetsched_partition::StaticOuter::new(n, &platform),
-                &mut rng,
-                &mut rec,
-            );
-            (r, None)
-        }
-        (Kernel::Matmul { .. }, Strategy::Static) => {
-            unreachable!("rejected by validate()")
-        }
-        (Kernel::Outer { n }, Strategy::TwoPhase(choice)) => {
-            let sched = match (choice, beta_used) {
-                (BetaChoice::Phase1Fraction(f), _) => {
-                    DynamicOuter2Phases::with_phase1_fraction(n, p, f)
-                }
-                (_, Some(b)) => DynamicOuter2Phases::with_beta(n, p, b),
-                _ => unreachable!("β resolved above for non-fraction choices"),
-            };
-            let (r, s) = drive(&platform, cfg, sched, &mut rng, &mut rec);
-            let split = (
-                s.phase1_blocks(),
-                s.phase2_blocks(),
-                s.phase1_tasks(),
-                s.phase2_tasks(),
-            );
-            (r, Some(split))
-        }
-        (Kernel::Matmul { n }, Strategy::Random) => {
-            let (r, _) = drive(&platform, cfg, RandomMatrix::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Matmul { n }, Strategy::Sorted) => {
-            let (r, _) = drive(&platform, cfg, SortedMatrix::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Matmul { n }, Strategy::Dynamic) => {
-            let (r, _) = drive(&platform, cfg, DynamicMatrix::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Matmul { n }, Strategy::TwoPhase(choice)) => {
-            let sched = match (choice, beta_used) {
-                (BetaChoice::Phase1Fraction(f), _) => {
-                    DynamicMatrix2Phases::with_phase1_fraction(n, p, f)
-                }
-                (_, Some(b)) => DynamicMatrix2Phases::with_beta(n, p, b),
-                _ => unreachable!("β resolved above for non-fraction choices"),
-            };
-            let (r, s) = drive(&platform, cfg, sched, &mut rng, &mut rec);
-            let split = (
-                s.phase1_blocks(),
-                s.phase2_blocks(),
-                s.phase1_tasks(),
-                s.phase2_tasks(),
-            );
-            (r, Some(split))
-        }
+    // One generic call per task kernel; a tree shard owns a rows × cols
+    // tile of the (i, j) grid and, for matmul, the whole k extent.
+    let (report, phase_split) = match cfg.kernel {
+        Kernel::Outer { .. } => run_family::<Outer, _>(
+            cfg,
+            &platform,
+            seed,
+            beta_used,
+            &mut rec,
+            &|s: &ShardLayout| (s.rows(), s.cols()),
+        ),
+        Kernel::Matmul { n } => run_family::<Matmul, _>(
+            cfg,
+            &platform,
+            seed,
+            beta_used,
+            &mut rec,
+            &|s: &ShardLayout| (s.rows(), s.cols(), n),
+        ),
     };
-
     finish(cfg, report, phase_split, beta_used, lb, platform)
+}
+
+/// Runs the configured strategy of the paper's family over task kernel
+/// `K`, harvesting the two-phase accounting.
+fn run_family<K: TaskKernel, R: StreamingSink>(
+    cfg: &ExperimentConfig,
+    platform: &Platform,
+    seed: u64,
+    beta_used: Option<f64>,
+    rec: &mut Option<&mut Recorder<R>>,
+    shard_dims: &impl Fn(&ShardLayout) -> K::Dims,
+) -> (SimReport, Option<PhaseSplit>) {
+    let dims = |shard: Option<&ShardLayout>| match shard {
+        None => K::square(cfg.kernel.n()),
+        Some(s) => shard_dims(s),
+    };
+    macro_rules! run {
+        ($make:expr, $split:expr) => {
+            run_strategy(cfg, platform, seed, rec, &dims, $make, $split)
+        };
+    }
+    match cfg.strategy {
+        Strategy::Random => run!(Random::<K>::shard, |_| None),
+        Strategy::Sorted => run!(Sorted::<K>::shard, |_| None),
+        Strategy::Dynamic => run!(Dynamic::<K>::shard, |_| None),
+        Strategy::TwoPhase(choice) => run!(
+            |dims, p| {
+                let sched = TwoPhase::<K>::shard(dims, p, 0);
+                match (choice, beta_used) {
+                    (BetaChoice::Phase1Fraction(f), _) => sched.switch_after(f),
+                    (_, Some(b)) => sched.switch_at_beta(b),
+                    _ => unreachable!("β resolved above for non-fraction choices"),
+                }
+            },
+            |s: &TwoPhase<K>| Some(s.phase_split())
+        ),
+        Strategy::Static => unreachable!("StaticOuter runs outside the family"),
+    }
+}
+
+/// Runs the scheduler `make(extents, workers)` builds: on the whole problem
+/// (extents `dims(None)`) under the flat topology, or once per sub-master
+/// shard (extents `dims(Some(shard))`) under a tree, where the root
+/// statically splits workers and grid across sub-masters. A single
+/// sub-master goes through the tree code path but is bit-for-bit identical
+/// to flat (same platform borrow, same RNG stream, no tier transfers).
+/// Per-shard phase splits are summed.
+fn run_strategy<D, S: Scheduler + Send, R: StreamingSink>(
+    cfg: &ExperimentConfig,
+    platform: &Platform,
+    seed: u64,
+    rec: &mut Option<&mut Recorder<R>>,
+    dims: &impl Fn(Option<&ShardLayout>) -> D,
+    make: impl Fn(D, usize) -> S,
+    split: impl Fn(&S) -> Option<PhaseSplit>,
+) -> (SimReport, Option<PhaseSplit>) {
+    let Topology::Tree { submasters } = cfg.topology else {
+        let sched = make(dims(None), cfg.processors);
+        let (report, sched) = drive(platform, cfg, sched, &mut rng_for(seed, STREAM_RUN), rec);
+        return (report, split(&sched));
+    };
+    let plan = plan_shards(platform, submasters, cfg.kernel.n());
+    let (outcome, scheds) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
+        make(dims(Some(s)), s.len)
+    });
+    let splits: Option<Vec<PhaseSplit>> = scheds.iter().map(split).collect();
+    (
+        outcome.report,
+        splits.map(|v| merge_phase_split(v.into_iter())),
+    )
 }
 
 /// Folds a finished engine report into the public [`RunResult`].
 fn finish(
     _cfg: &ExperimentConfig,
     report: SimReport,
-    phase_split: Option<(u64, u64, usize, usize)>,
+    phase_split: Option<PhaseSplit>,
     beta_used: Option<f64>,
     lb: f64,
     platform: Platform,
@@ -374,116 +389,8 @@ fn run_tree_strategy<S: Scheduler + Send, K: StreamingSink>(
     )
 }
 
-/// Tree-topology dispatch on (kernel, strategy): plans the top-level split
-/// and runs one rectangular shard scheduler per sub-master.
-fn run_tree_impl<K: StreamingSink>(
-    cfg: &ExperimentConfig,
-    platform: &Platform,
-    submasters: usize,
-    seed: u64,
-    beta_used: Option<f64>,
-    rec: &mut Option<&mut Recorder<K>>,
-) -> (SimReport, Option<(u64, u64, usize, usize)>) {
-    let plan = plan_shards(platform, submasters, cfg.kernel.n());
-    match (cfg.kernel, cfg.strategy) {
-        (Kernel::Outer { .. }, Strategy::Random) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                RandomOuter::rect(s.rows(), s.cols(), s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Outer { .. }, Strategy::Sorted) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                SortedOuter::rect(s.rows(), s.cols(), s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Outer { .. }, Strategy::Dynamic) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                DynamicOuter::rect(s.rows(), s.cols(), s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Outer { .. }, Strategy::TwoPhase(choice)) => {
-            let (o, scheds) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                match (choice, beta_used) {
-                    (BetaChoice::Phase1Fraction(f), _) => {
-                        DynamicOuter2Phases::rect_with_phase1_fraction(s.rows(), s.cols(), s.len, f)
-                    }
-                    (_, Some(b)) => {
-                        DynamicOuter2Phases::rect_with_beta(s.rows(), s.cols(), s.len, b)
-                    }
-                    _ => unreachable!("β resolved above for non-fraction choices"),
-                }
-            });
-            (
-                o.report,
-                Some(merge_phase_split(scheds.iter().map(|s| {
-                    (
-                        s.phase1_blocks(),
-                        s.phase2_blocks(),
-                        s.phase1_tasks(),
-                        s.phase2_tasks(),
-                    )
-                }))),
-            )
-        }
-        (Kernel::Matmul { n }, Strategy::Random) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                RandomMatrix::rect(s.rows(), s.cols(), n, s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Matmul { n }, Strategy::Sorted) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                SortedMatrix::rect(s.rows(), s.cols(), n, s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Matmul { n }, Strategy::Dynamic) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                DynamicMatrix::rect(s.rows(), s.cols(), n, s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Matmul { n }, Strategy::TwoPhase(choice)) => {
-            let (o, scheds) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                match (choice, beta_used) {
-                    (BetaChoice::Phase1Fraction(f), _) => {
-                        DynamicMatrix2Phases::rect_with_phase1_fraction(
-                            s.rows(),
-                            s.cols(),
-                            n,
-                            s.len,
-                            f,
-                        )
-                    }
-                    (_, Some(b)) => {
-                        DynamicMatrix2Phases::rect_with_beta(s.rows(), s.cols(), n, s.len, b)
-                    }
-                    _ => unreachable!("β resolved above for non-fraction choices"),
-                }
-            });
-            (
-                o.report,
-                Some(merge_phase_split(scheds.iter().map(|s| {
-                    (
-                        s.phase1_blocks(),
-                        s.phase2_blocks(),
-                        s.phase1_tasks(),
-                        s.phase2_tasks(),
-                    )
-                }))),
-            )
-        }
-        (_, Strategy::Static) => unreachable!("rejected by validate()"),
-    }
-}
-
 /// Sums per-shard two-phase accounting into the global split.
-fn merge_phase_split(
-    splits: impl Iterator<Item = (u64, u64, usize, usize)>,
-) -> (u64, u64, usize, usize) {
+fn merge_phase_split(splits: impl Iterator<Item = PhaseSplit>) -> PhaseSplit {
     splits.fold((0, 0, 0, 0), |acc, s| {
         (acc.0 + s.0, acc.1 + s.1, acc.2 + s.2, acc.3 + s.3)
     })

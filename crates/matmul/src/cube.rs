@@ -50,16 +50,6 @@ impl WorkerCube {
         }
     }
 
-    /// Per-worker fleet constructor.
-    pub fn fleet(n: usize, p: usize) -> Vec<WorkerCube> {
-        (0..p).map(|_| WorkerCube::new(n)).collect()
-    }
-
-    /// [`rect`](Self::rect) fleet constructor.
-    pub fn fleet_rect(ni: usize, nj: usize, nk: usize, p: usize) -> Vec<WorkerCube> {
-        (0..p).map(|_| WorkerCube::rect(ni, nj, nk)).collect()
-    }
-
     /// Ships the blocks of one task `T(i,j,k)` that are missing; returns
     /// how many blocks that took (0–3). Used by the random/sorted
     /// strategies and phase 2.
@@ -117,7 +107,7 @@ mod tests {
 
     #[test]
     fn fleet_is_independent() {
-        let mut fleet = WorkerCube::fleet(3, 2);
+        let mut fleet = vec![WorkerCube::new(3); 2];
         fleet[0].acquire_task_blocks(0, 0, 0);
         assert_eq!(fleet[0].total_blocks(), 3);
         assert_eq!(fleet[1].total_blocks(), 0);

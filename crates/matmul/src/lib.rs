@@ -9,22 +9,23 @@
 //! knows the index sets `I`, `J`, `K` holds the sub-bricks
 //! `A[I,K]`, `B[K,J]`, `C[I,J]` and can run every task in `I × J × K`.
 //!
-//! The four strategies mirror the outer-product ones:
-//! [`RandomMatrix`],
-//! [`SortedMatrix`],
-//! [`DynamicMatrix`] (grow `I`, `J`, `K` by one
-//! random index each per request, shipping the `3(2y+1)` new boundary
-//! blocks), and [`DynamicMatrix2Phases`]
-//! (switch to random when fewer than `e^{−β}·n³` tasks remain).
+//! This crate supplies the task cube ([`Matmul`], a
+//! [`TaskKernel`](hetsched_sim::TaskKernel)), a worker's view of the three
+//! matrices ([`WorkerCube`]) and the kernel's data-aware step. The
+//! strategies are the generic family of `hetsched-sim`, under the paper's
+//! names: [`RandomMatrix`], [`SortedMatrix`], [`DynamicMatrix`] (grow `I`,
+//! `J`, `K` by one random index each per request, shipping the `3(2y+1)`
+//! new boundary blocks), and [`DynamicMatrix2Phases`] (switch to random
+//! when fewer than `e^{−β}·n³` tasks remain).
 //!
 //! Block accounting counts `C` traffic like the paper does: result blocks
 //! travel worker→master instead of master→worker, but only the total volume
 //! matters.
 
 pub mod cube;
-pub mod state;
+pub mod kernel;
 pub mod strategies;
 
 pub use cube::WorkerCube;
-pub use state::MatmulState;
+pub use kernel::Matmul;
 pub use strategies::{DynamicMatrix, DynamicMatrix2Phases, RandomMatrix, SortedMatrix};

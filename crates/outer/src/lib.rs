@@ -8,24 +8,27 @@
 //! keeping the master→worker communication volume close to the lower bound
 //! `2n·Σ√rs_k`.
 //!
-//! Four strategies, in increasing order of data awareness:
+//! This crate supplies the task grid ([`Outer`], a
+//! [`TaskKernel`](hetsched_sim::TaskKernel)), a worker's view of the two
+//! vectors ([`WorkerData`]) and the kernel's data-aware step. The
+//! strategies themselves are the generic family of `hetsched-sim`; the
+//! paper's four names are aliases of it, in increasing order of data
+//! awareness:
 //!
-//! * [`RandomOuter`] — uniformly random unprocessed
-//!   task per request; ship whatever inputs are missing.
-//! * [`SortedOuter`] — tasks in lexicographic
-//!   order; ship missing inputs.
-//! * [`DynamicOuter`] — per request the master
-//!   ships one *new* `a` block and one *new* `b` block chosen uniformly at
-//!   random, and allocates every still-unprocessed task the worker can now
-//!   form (the new row/column of its known sub-grid).
-//! * [`DynamicOuter2Phases`] —
-//!   `DynamicOuter` until fewer than `e^{−β}·n²` tasks remain, then
-//!   `RandomOuter` for the end game.
+//! * [`RandomOuter`] — uniformly random unprocessed task per request; ship
+//!   whatever inputs are missing.
+//! * [`SortedOuter`] — tasks in lexicographic order; ship missing inputs.
+//! * [`DynamicOuter`] — per request the master ships one *new* `a` block
+//!   and one *new* `b` block chosen uniformly at random, and allocates
+//!   every still-unprocessed task the worker can now form (the new
+//!   row/column of its known sub-grid).
+//! * [`DynamicOuter2Phases`] — `DynamicOuter` until fewer than
+//!   `e^{−β}·n²` tasks remain, then `RandomOuter` for the end game.
 
+pub mod kernel;
 pub mod ownership;
-pub mod state;
 pub mod strategies;
 
+pub use kernel::Outer;
 pub use ownership::{VectorOwnership, WorkerData};
-pub use state::OuterState;
 pub use strategies::{DynamicOuter, DynamicOuter2Phases, RandomOuter, SortedOuter};

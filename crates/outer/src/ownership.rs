@@ -34,16 +34,6 @@ impl WorkerData {
         }
     }
 
-    /// Per-worker fleet constructor.
-    pub fn fleet(n: usize, p: usize) -> Vec<WorkerData> {
-        (0..p).map(|_| WorkerData::new(n)).collect()
-    }
-
-    /// [`rect`](Self::rect) fleet constructor.
-    pub fn fleet_rect(rows: usize, cols: usize, p: usize) -> Vec<WorkerData> {
-        (0..p).map(|_| WorkerData::rect(rows, cols)).collect()
-    }
-
     /// Fraction of all `2n` input blocks this worker owns — the knowledge
     /// state the paper's ODE model evolves (`x_k` tracks `|I_k| = |J_k|`
     /// for the dynamic strategy). Probes report it per sample.
@@ -60,7 +50,7 @@ mod tests {
 
     #[test]
     fn fleet_is_independent() {
-        let mut fleet = WorkerData::fleet(4, 3);
+        let mut fleet = vec![WorkerData::new(4); 3];
         fleet[0].a.acquire(1);
         assert!(fleet[0].a.owns(1));
         assert!(!fleet[1].a.owns(1));

@@ -1,20 +1,10 @@
 //! The simulation event queue.
 //!
-//! Two implementations live here behind the same API:
-//!
-//! * [`EventQueue`] — a binary min-heap, the engine's queue.
-//! * [`FlatScanQueue`] — a flat vector scanned linearly for the minimum on
-//!   every pop, kept as the head-to-head comparator in
-//!   `crates/bench/benches/engine_bench.rs`. The hypothesis was that with
-//!   the queue never holding more than ~`p + 1` entries an O(len) scan over
-//!   a contiguous buffer would beat heap sift-up/sift-down; the bench
-//!   (`event_queue/*`, `engine_requests/*`) says it only does so up to
-//!   `p ≈ 50` and loses badly at `p = 300`, so the heap stays. Both are
-//!   allocation-free once warm (`BinaryHeap` reuses its buffer).
-//!
-//! Both pop the strict minimum of `(t, seq)`; `seq` is unique, so the pop
-//! order — and therefore every simulation result — is bit-for-bit identical
-//! between the two.
+//! A binary min-heap of worker-ready events. A flat vector scanned linearly
+//! on every pop was benchmarked against it (the queue never holds more than
+//! ~`p + 1` entries) and lost 6× at `p = 300`; see the performance appendix
+//! of EXPERIMENTS.md. The heap is allocation-free once warm
+//! (`BinaryHeap` reuses its buffer).
 
 use hetsched_platform::ProcId;
 use hetsched_util::OrderedF64;
@@ -62,60 +52,6 @@ impl EventQueue {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-/// Flat-vector min-scan queue, API-identical to [`EventQueue`].
-///
-/// Pop does a linear scan for the smallest `(t, seq)` and `swap_remove`s
-/// it. Cheaper than the heap for very small queues (roughly `p ≤ 50` in
-/// `engine_bench`), O(p) per pop beyond that — which is why it is the
-/// benchmark comparator rather than the engine's queue.
-#[derive(Debug, Default)]
-pub struct FlatScanQueue {
-    slots: Vec<(OrderedF64, u64, ProcId)>,
-    seq: u64,
-}
-
-impl FlatScanQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        FlatScanQueue {
-            slots: Vec::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules worker `k` to request work at time `t`.
-    pub fn push(&mut self, t: f64, k: ProcId) {
-        self.slots.push((OrderedF64::new(t), self.seq, k));
-        self.seq += 1;
-    }
-
-    /// Pops the earliest request, if any (FIFO among simultaneous events).
-    pub fn pop(&mut self) -> Option<(f64, ProcId)> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for i in 1..self.slots.len() {
-            // seq values are unique, so (t, seq) is a strict total order.
-            if (self.slots[i].0, self.slots[i].1) < (self.slots[best].0, self.slots[best].1) {
-                best = i;
-            }
-        }
-        let (t, _, k) = self.slots.swap_remove(best);
-        Some((t.get(), k))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -171,11 +107,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_heap_queues_agree_on_random_workload() {
-        // Drive both queues through an identical interleaved push/pop
-        // sequence (deterministic pseudo-random times, including exact
-        // ties) and require identical pop streams.
-        let mut flat = FlatScanQueue::new();
+    fn heap_agrees_with_a_sorted_reference_on_random_workload() {
+        // Drive the queue and a reference (a vector kept in `(t, seq)`
+        // order, popped from the front) through an identical interleaved
+        // push/pop sequence with deterministic pseudo-random times,
+        // including exact ties, and require identical pop streams.
+        let mut reference: Vec<(f64, u64, ProcId)> = Vec::new();
+        let mut seq = 0u64;
         let mut heap = EventQueue::new();
         let mut state = 0x9E37_79B9u64;
         let mut next = move || {
@@ -184,19 +122,27 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
+        fn pop_reference(reference: &mut Vec<(f64, u64, ProcId)>) -> Option<(f64, ProcId)> {
+            (!reference.is_empty()).then(|| {
+                let (t, _, k) = reference.remove(0);
+                (t, k)
+            })
+        }
         for round in 0..200u32 {
             for i in 0..3u32 {
                 // Coarse grid so ties actually happen.
                 let t = (next() % 16) as f64;
-                flat.push(t, ProcId(round * 3 + i));
+                reference.push((t, seq, ProcId(round * 3 + i)));
+                seq += 1;
+                reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 heap.push(t, ProcId(round * 3 + i));
             }
             if round % 2 == 0 {
-                assert_eq!(flat.pop(), heap.pop());
+                assert_eq!(pop_reference(&mut reference), heap.pop());
             }
         }
         loop {
-            let (a, b) = (flat.pop(), heap.pop());
+            let (a, b) = (pop_reference(&mut reference), heap.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;

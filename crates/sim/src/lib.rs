@@ -21,9 +21,12 @@
 //!    [`SpeedState`](hetsched_platform::SpeedState), which implements both
 //!    fixed speeds and the `dyn.*` per-task jitter scenarios.
 //!
-//! The engine is generic over the [`Scheduler`] trait; the
-//! `hetsched-outer` and `hetsched-matmul` crates provide the eight concrete
-//! strategies from the paper.
+//! The engine is generic over the [`Scheduler`] trait. The paper's four
+//! strategies — [`Random`], [`Sorted`], [`Dynamic`] and [`TwoPhase`] — are
+//! written once here, generic over a [`TaskKernel`] (a task space with its
+//! coordinate map, per-worker knowledge and data-aware step) and sharing
+//! one [`TaskPool`]; the `hetsched-outer` and `hetsched-matmul` crates
+//! supply the two kernels and name the eight instances after the paper.
 //!
 //! On top of the paper's model the engine supports **fault injection**
 //! ([`FailureModel`](hetsched_platform::FailureModel)): a worker may
@@ -52,8 +55,10 @@
 
 pub mod engine;
 pub mod event;
+pub mod family;
 pub mod metrics;
 mod net_engine;
+pub mod pool;
 pub mod probe;
 pub mod scheduler;
 pub mod sink;
@@ -65,9 +70,11 @@ pub use engine::{
     run, run_configured, run_configured_recorded, run_configured_traced, run_traced,
     run_traced_with_failures, run_with_failures, Engine, SimReport,
 };
-pub use event::{EventQueue, FlatScanQueue};
+pub use event::EventQueue;
+pub use family::{Dynamic, Problem, Random, Sorted, StrategyNames, TaskKernel, TwoPhase};
 pub use hetsched_net::NetworkModel;
 pub use metrics::CommLedger;
+pub use pool::TaskPool;
 pub use probe::{ProbeConfig, ProbeIter, ProbeSample, ProbeSeries, Recorder};
 pub use scheduler::{Allocation, Scheduler};
 pub use sink::{ChromeStream, JsonlStream, NullSink, StreamingSink};

@@ -200,7 +200,7 @@ fn lemma1_residual_density_matches_measurement() {
         for k in 0..p {
             out.clear();
             sched.on_request(ProcId(k as u32), &mut r, &mut out);
-            let w0 = sched.worker(ProcId(0));
+            let w0 = sched.problem().worker(ProcId(0));
             if w0.a.count() >= 30 {
                 break 'outer;
             }
@@ -209,7 +209,8 @@ fn lemma1_residual_density_matches_measurement() {
             }
         }
     }
-    let w0 = sched.worker(ProcId(0));
+    let problem = sched.problem();
+    let w0 = problem.worker(ProcId(0));
     let x = w0.a.count() as f64 / n as f64;
     let alpha = (p - 1) as f64;
     // Count unprocessed tasks in worker 0's L-shape (everything outside
@@ -222,7 +223,7 @@ fn lemma1_residual_density_matches_measurement() {
                 continue;
             }
             total_l += 1;
-            if !sched.state().is_processed(i, j) {
+            if !problem.pool().is_processed(problem.kernel().id(i, j)) {
                 unprocessed_l += 1;
             }
         }
