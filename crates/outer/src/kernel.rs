@@ -164,7 +164,7 @@ mod tests {
     use super::*;
     use hetsched_util::rng::rng_for;
 
-    fn square(n: usize) -> (Outer, TaskPool) {
+    fn grid(n: usize) -> (Outer, TaskPool) {
         let k = Outer::new((n, n));
         (k, TaskPool::new(k.tasks()))
     }
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn steps_report_allocated_task_ids() {
-        let (k, mut pool) = square(6);
+        let (k, mut pool) = grid(6);
         let mut w = WorkerData::new(6);
         let mut rng = rng_for(99, 0);
         let mut out = Vec::new();
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn dynamic_step_first_call_allocates_one_task_two_blocks() {
-        let (k, mut pool) = square(8);
+        let (k, mut pool) = grid(8);
         let mut w = WorkerData::new(8);
         let mut rng = rng_for(2, 0);
         let a = dynamic_step(&k, &mut pool, &mut w, &mut rng);
@@ -222,7 +222,7 @@ mod tests {
     fn dynamic_step_kth_call_allocates_2k_minus_1_when_alone() {
         // With a single worker nothing is stolen, so the k-th extension
         // allocates the full new row+column: 2k−1 tasks.
-        let (k, mut pool) = square(10);
+        let (k, mut pool) = grid(10);
         let mut w = WorkerData::new(10);
         let mut rng = rng_for(3, 0);
         for step in 1..=10u64 {
@@ -243,7 +243,7 @@ mod tests {
         let mut retried = false;
         for seed in 0..20u64 {
             let n = 3;
-            let (k, mut pool) = square(n);
+            let (k, mut pool) = grid(n);
             let mut w = WorkerData::new(n);
             w.a.acquire(0);
             w.b.acquire(0);
