@@ -3,6 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetsched_outer::RandomOuter;
 use hetsched_platform::{Platform, SpeedDistribution, SpeedModel};
+use hetsched_sim::Engine;
 use hetsched_util::rng::rng_for;
 use hetsched_util::{FixedBitSet, SwapList};
 use rand::Rng;
@@ -18,12 +19,8 @@ fn bench_engine_request_throughput(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
             let pf = Platform::sample(p, &SpeedDistribution::paper_default(), &mut rng_for(1, 0));
             b.iter(|| {
-                let (r, _) = hetsched_sim::run(
-                    &pf,
-                    SpeedModel::Fixed,
-                    RandomOuter::new(100, p),
-                    &mut rng_for(2, 0),
-                );
+                let (r, _) = Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(100, p))
+                    .run(&mut rng_for(2, 0));
                 black_box(r.makespan)
             })
         });
@@ -45,51 +42,9 @@ fn bench_dynamic_speed_overhead(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let (r, _) =
-                    hetsched_sim::run(&pf, model, RandomOuter::new(60, 20), &mut rng_for(4, 0));
+                    Engine::new(&pf, model, RandomOuter::new(60, 20)).run(&mut rng_for(4, 0));
                 black_box(r.makespan)
             })
-        });
-    }
-    group.finish();
-}
-
-fn bench_event_queues(c: &mut Criterion) {
-    // The event queue never holds more than ~p+1 entries; measure the
-    // binary heap (the engine's EventQueue) on a realistic churn pattern
-    // (push/pop interleave with coarse time ties, as the engine produces).
-    use hetsched_platform::ProcId;
-    use hetsched_sim::EventQueue;
-
-    fn churn_heap(pushes: &[(f64, u32)], live: usize) -> f64 {
-        let mut q = EventQueue::new();
-        let mut acc = 0.0;
-        for (i, &(t, k)) in pushes.iter().enumerate() {
-            q.push(t, ProcId(k));
-            if i >= live {
-                let (t, _) = q.pop().unwrap();
-                acc += t;
-            }
-        }
-        acc
-    }
-
-    let mut group = c.benchmark_group("event_queue");
-    for p in [10usize, 100, 300] {
-        // Deterministic workload: monotone-ish times with frequent ties.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let pushes: Vec<(f64, u32)> = (0..20_000)
-            .map(|i| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (
-                    (i / 8) as f64 + (state % 16) as f64 / 16.0,
-                    (state % p as u64) as u32,
-                )
-            })
-            .collect();
-        group.bench_with_input(BenchmarkId::new("heap", p), &p, |b, &p| {
-            b.iter(|| black_box(churn_heap(&pushes, p)))
         });
     }
     group.finish();
@@ -123,7 +78,6 @@ criterion_group!(
     benches,
     bench_engine_request_throughput,
     bench_dynamic_speed_overhead,
-    bench_event_queues,
     bench_primitives
 );
 criterion_main!(benches);

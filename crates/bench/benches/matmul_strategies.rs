@@ -3,6 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetsched_matmul::{DynamicMatrix, DynamicMatrix2Phases, RandomMatrix, SortedMatrix};
 use hetsched_platform::{Platform, SpeedDistribution, SpeedModel};
+use hetsched_sim::Engine;
 use hetsched_util::rng::rng_for;
 use std::hint::black_box;
 
@@ -19,45 +20,33 @@ fn bench_strategies(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("RandomMatrix", n), |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                RandomMatrix::new(n, p),
-                &mut rng_for(2, 0),
-            );
+            let (r, _) = Engine::new(&pf, SpeedModel::Fixed, RandomMatrix::new(n, p))
+                .run(&mut rng_for(2, 0));
             black_box(r.total_blocks)
         })
     });
     group.bench_function(BenchmarkId::new("SortedMatrix", n), |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                SortedMatrix::new(n, p),
-                &mut rng_for(2, 0),
-            );
+            let (r, _) = Engine::new(&pf, SpeedModel::Fixed, SortedMatrix::new(n, p))
+                .run(&mut rng_for(2, 0));
             black_box(r.total_blocks)
         })
     });
     group.bench_function(BenchmarkId::new("DynamicMatrix", n), |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                DynamicMatrix::new(n, p),
-                &mut rng_for(2, 0),
-            );
+            let (r, _) = Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(n, p))
+                .run(&mut rng_for(2, 0));
             black_box(r.total_blocks)
         })
     });
     group.bench_function(BenchmarkId::new("DynamicMatrix2Phases", n), |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
+            let (r, _) = Engine::new(
                 &pf,
                 SpeedModel::Fixed,
                 DynamicMatrix2Phases::with_beta(n, p, 2.95),
-                &mut rng_for(2, 0),
-            );
+            )
+            .run(&mut rng_for(2, 0));
             black_box(r.total_blocks)
         })
     });
@@ -72,12 +61,12 @@ fn bench_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let pf = platform(100);
             b.iter(|| {
-                let (r, _) = hetsched_sim::run(
+                let (r, _) = Engine::new(
                     &pf,
                     SpeedModel::Fixed,
                     DynamicMatrix2Phases::with_beta(n, 100, 3.0),
-                    &mut rng_for(3, 0),
-                );
+                )
+                .run(&mut rng_for(3, 0));
                 black_box(r.total_blocks)
             })
         });

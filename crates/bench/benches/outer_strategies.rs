@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetsched_outer::{DynamicOuter, DynamicOuter2Phases, RandomOuter, SortedOuter};
 use hetsched_platform::{Platform, SpeedDistribution, SpeedModel};
+use hetsched_sim::Engine;
 use hetsched_util::rng::rng_for;
 use std::hint::black_box;
 
@@ -20,45 +21,33 @@ fn bench_strategies(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("RandomOuter", n), |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                RandomOuter::new(n, p),
-                &mut rng_for(2, 0),
-            );
+            let (r, _) =
+                Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(n, p)).run(&mut rng_for(2, 0));
             black_box(r.total_blocks)
         })
     });
     group.bench_function(BenchmarkId::new("SortedOuter", n), |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                SortedOuter::new(n, p),
-                &mut rng_for(2, 0),
-            );
+            let (r, _) =
+                Engine::new(&pf, SpeedModel::Fixed, SortedOuter::new(n, p)).run(&mut rng_for(2, 0));
             black_box(r.total_blocks)
         })
     });
     group.bench_function(BenchmarkId::new("DynamicOuter", n), |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                DynamicOuter::new(n, p),
-                &mut rng_for(2, 0),
-            );
+            let (r, _) = Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(n, p))
+                .run(&mut rng_for(2, 0));
             black_box(r.total_blocks)
         })
     });
     group.bench_function(BenchmarkId::new("DynamicOuter2Phases", n), |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
+            let (r, _) = Engine::new(
                 &pf,
                 SpeedModel::Fixed,
                 DynamicOuter2Phases::with_beta(n, p, 4.17),
-                &mut rng_for(2, 0),
-            );
+            )
+            .run(&mut rng_for(2, 0));
             black_box(r.total_blocks)
         })
     });
@@ -73,12 +62,12 @@ fn bench_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let pf = platform(50);
             b.iter(|| {
-                let (r, _) = hetsched_sim::run(
+                let (r, _) = Engine::new(
                     &pf,
                     SpeedModel::Fixed,
                     DynamicOuter2Phases::with_beta(n, 50, 5.0),
-                    &mut rng_for(3, 0),
-                );
+                )
+                .run(&mut rng_for(3, 0));
                 black_box(r.total_blocks)
             })
         });

@@ -3,6 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetsched_partition::{optimal_column_partition, GridPartition, StaticOuter};
 use hetsched_platform::{Platform, SpeedDistribution, SpeedModel};
+use hetsched_sim::Engine;
 use hetsched_util::rng::rng_for;
 use std::hint::black_box;
 
@@ -35,12 +36,8 @@ fn bench_static_full_run(c: &mut Criterion) {
     let pf = Platform::sample(20, &SpeedDistribution::paper_default(), &mut rng_for(2, 0));
     c.bench_function("static_outer_full_run_n100", |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                StaticOuter::new(100, &pf),
-                &mut rng_for(3, 0),
-            );
+            let (r, _) = Engine::new(&pf, SpeedModel::Fixed, StaticOuter::new(100, &pf))
+                .run(&mut rng_for(3, 0));
             black_box(r.total_blocks)
         })
     });

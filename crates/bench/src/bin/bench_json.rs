@@ -17,7 +17,7 @@ use hetsched_core::{manifest_json, run_once, ExperimentConfig, Kernel, Strategy,
 use hetsched_outer::RandomOuter;
 use hetsched_platform::{FailureModel, Platform, ProcId, SpeedDistribution, SpeedModel};
 use hetsched_serve::{burst_jobs, simulate_admission, BatchJob, Policy};
-use hetsched_sim::{NullSink, ProbeConfig, Recorder, TraceEvent};
+use hetsched_sim::{Engine, NullSink, ProbeConfig, Recorder, TraceEvent};
 use hetsched_util::rng::rng_for;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -256,38 +256,24 @@ fn engine_throughputs() -> (f64, f64, f64) {
     let n = 100;
     let pf = Platform::sample(p, &SpeedDistribution::paper_default(), &mut rng_for(1, 0));
     let run_plain = || {
-        let (r, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            RandomOuter::new(n, p),
-            &mut rng_for(2, 0),
-        );
+        let (r, _) =
+            Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(n, p)).run(&mut rng_for(2, 0));
         std::hint::black_box(r.makespan);
     };
     let run_streamed = || {
         let mut rec = Recorder::streaming(ProbeConfig::by_events(64), NullSink, STREAM_CHUNK);
-        let (r, _) = hetsched_sim::run_configured_recorded(
-            &pf,
-            SpeedModel::Fixed,
-            RandomOuter::new(n, p),
-            &FailureModel::none(),
-            hetsched_sim::NetworkModel::Infinite,
-            &mut rng_for(2, 0),
-            &mut rec,
-        );
+        let (r, _) = Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(n, p))
+            .with_failures(&FailureModel::none())
+            .with_network(hetsched_sim::NetworkModel::Infinite)
+            .run_recorded(&mut rng_for(2, 0), &mut rec);
         std::hint::black_box((r.makespan, rec.flushed_events()));
     };
     let run_buffered = || {
         let mut rec = Recorder::new(ProbeConfig::by_events(64));
-        let (r, _) = hetsched_sim::run_configured_recorded(
-            &pf,
-            SpeedModel::Fixed,
-            RandomOuter::new(n, p),
-            &FailureModel::none(),
-            hetsched_sim::NetworkModel::Infinite,
-            &mut rng_for(2, 0),
-            &mut rec,
-        );
+        let (r, _) = Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(n, p))
+            .with_failures(&FailureModel::none())
+            .with_network(hetsched_sim::NetworkModel::Infinite)
+            .run_recorded(&mut rng_for(2, 0), &mut rec);
         std::hint::black_box((r.makespan, rec.trace().len()));
     };
     let variants: [&dyn Fn(); 3] = [&run_plain, &run_streamed, &run_buffered];
@@ -608,28 +594,18 @@ fn trace_memory() -> TraceMemory {
     let pf = Platform::sample(p, &SpeedDistribution::paper_default(), &mut rng_for(1, 0));
     let ev = std::mem::size_of::<TraceEvent>();
     let mut buffered = Recorder::new(ProbeConfig::by_events(64));
-    let _ = hetsched_sim::run_configured_recorded(
-        &pf,
-        SpeedModel::Fixed,
-        RandomOuter::new(n, p),
-        &FailureModel::none(),
-        hetsched_sim::NetworkModel::Infinite,
-        &mut rng_for(2, 0),
-        &mut buffered,
-    );
+    let _ = Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(n, p))
+        .with_failures(&FailureModel::none())
+        .with_network(hetsched_sim::NetworkModel::Infinite)
+        .run_recorded(&mut rng_for(2, 0), &mut buffered);
     let events = buffered.trace().events().len();
     let buffered_peak_bytes =
         buffered.peak_buffered_events() * ev + buffered.probes().approx_bytes();
     let mut streamed = Recorder::streaming(ProbeConfig::by_events(64), NullSink, STREAM_CHUNK);
-    let _ = hetsched_sim::run_configured_recorded(
-        &pf,
-        SpeedModel::Fixed,
-        RandomOuter::new(n, p),
-        &FailureModel::none(),
-        hetsched_sim::NetworkModel::Infinite,
-        &mut rng_for(2, 0),
-        &mut streamed,
-    );
+    let _ = Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(n, p))
+        .with_failures(&FailureModel::none())
+        .with_network(hetsched_sim::NetworkModel::Infinite)
+        .run_recorded(&mut rng_for(2, 0), &mut streamed);
     assert!(streamed.peak_buffered_events() <= STREAM_CHUNK);
     let streamed_peak_bytes =
         streamed.peak_buffered_events() * ev + streamed.probes().approx_bytes();

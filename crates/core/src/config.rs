@@ -129,7 +129,7 @@ pub struct ExperimentConfig {
     /// Master/worker wiring. [`Topology::Flat`] (the default) is the
     /// paper's single-master star; [`Topology::Tree`] routes the run
     /// through the hierarchical multi-master engine
-    /// ([`hetsched_sim::run_tree`]), with a single sub-master being
+    /// ([`hetsched_sim::run_tree_with`]), with a single sub-master being
     /// bit-for-bit identical to flat.
     pub topology: Topology,
     /// Charge each batch's result write-back (one C block per task) on the

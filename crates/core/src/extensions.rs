@@ -39,6 +39,7 @@ use hetsched_analysis::OuterAnalysis;
 use hetsched_outer::DynamicOuter2Phases;
 use hetsched_partition::StaticOuter;
 use hetsched_platform::{Platform, SpeedModel};
+use hetsched_sim::Engine;
 use hetsched_util::rng::rng_for;
 use hetsched_util::OnlineStats;
 
@@ -76,22 +77,19 @@ pub fn ext_static_tradeoff(opts: &FigOpts) -> FigureData {
         for t in 0..opts.trials as u64 {
             // Static plans against the *declared* speeds but runs on the
             // actual ones.
-            let (s_rep, _) = hetsched_sim::run(
-                &actual,
-                SpeedModel::Fixed,
-                StaticOuter::new(n, &declared),
-                &mut rng_for(opts.seed ^ 0xA0, t),
-            );
+            let (s_rep, _) =
+                Engine::new(&actual, SpeedModel::Fixed, StaticOuter::new(n, &declared))
+                    .run(&mut rng_for(opts.seed ^ 0xA0, t));
             sc.push(s_rep.normalized(lb));
             sm.push(s_rep.makespan / ideal);
 
             let beta = OuterAnalysis::new(&actual, n).optimal_beta().0;
-            let (d_rep, _) = hetsched_sim::run(
+            let (d_rep, _) = Engine::new(
                 &actual,
                 SpeedModel::Fixed,
                 DynamicOuter2Phases::with_beta(n, p, beta),
-                &mut rng_for(opts.seed ^ 0xA1, t),
-            );
+            )
+            .run(&mut rng_for(opts.seed ^ 0xA1, t));
             dc.push(d_rep.normalized(lb));
             dm.push(d_rep.makespan / ideal);
         }

@@ -26,7 +26,7 @@ pub type DynamicMatrix2Phases = TwoPhase<Matmul>;
 mod tests {
     use super::*;
     use hetsched_platform::{Platform, SpeedModel};
-    use hetsched_sim::Scheduler;
+    use hetsched_sim::{Engine, Scheduler};
     use hetsched_util::rng::rng_for;
 
     #[test]
@@ -34,7 +34,7 @@ mod tests {
         let pf = Platform::homogeneous(6);
         let mut rng = rng_for(3, 0);
         let (_, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicMatrix::new(15, 6), &mut rng);
+            Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(15, 6)).run(&mut rng);
         for k in pf.procs() {
             let w = sched.problem().worker(k);
             assert_eq!(w.i_set.count(), w.j_set.count());

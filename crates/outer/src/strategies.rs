@@ -25,7 +25,7 @@ pub type DynamicOuter2Phases = TwoPhase<Outer>;
 mod tests {
     use super::*;
     use hetsched_platform::{outer_lower_bound, Platform, ProcId, SpeedDistribution, SpeedModel};
-    use hetsched_sim::Scheduler;
+    use hetsched_sim::{Engine, Scheduler};
     use hetsched_util::rng::rng_for;
 
     #[test]
@@ -37,8 +37,7 @@ mod tests {
         let p = 3;
         let pf = Platform::homogeneous(p);
         let mut rng = rng_for(3, 0);
-        let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, SortedOuter::new(n, p), &mut rng);
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, SortedOuter::new(n, p)).run(&mut rng);
         assert!(report.total_blocks <= 2 * (n * n) as u64);
         assert!(report.total_blocks >= 2 * n as u64);
     }
@@ -49,7 +48,7 @@ mod tests {
         let pf = Platform::sample(10, &SpeedDistribution::paper_default(), &mut rng);
         let lb = outer_lower_bound(50, &pf);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicOuter::new(50, 10), &mut rng);
+            Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(50, 10)).run(&mut rng);
         assert!(report.total_blocks as f64 >= lb * 0.999);
     }
 
@@ -61,7 +60,7 @@ mod tests {
         let pf = Platform::homogeneous(8);
         let mut rng = rng_for(3, 0);
         let (_, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicOuter::new(60, 8), &mut rng);
+            Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(60, 8)).run(&mut rng);
         for k in pf.procs() {
             let w = sched.problem().worker(k);
             assert_eq!(w.a.count(), w.b.count(), "worker {k}");
@@ -89,12 +88,12 @@ mod tests {
         // p = 30 workers for a 4×4 task grid: most workers never get work,
         // but everything still completes exactly once.
         let pf = Platform::homogeneous(30);
-        let (report, _) = hetsched_sim::run(
+        let (report, _) = Engine::new(
             &pf,
             SpeedModel::Fixed,
             DynamicOuter2Phases::with_beta(4, 30, 3.0),
-            &mut rng_for(10, 0),
-        );
+        )
+        .run(&mut rng_for(10, 0));
         assert_eq!(report.ledger.total_tasks(), 16);
     }
 

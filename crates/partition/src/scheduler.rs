@@ -121,17 +121,14 @@ impl Scheduler for StaticOuter {
 mod tests {
     use super::*;
     use hetsched_platform::{outer_lower_bound, SpeedDistribution, SpeedModel};
+    use hetsched_sim::Engine;
     use hetsched_util::rng::rng_for;
 
     #[test]
     fn completes_all_tasks_with_fixed_speeds() {
         let pf = Platform::from_speeds(vec![10.0, 30.0, 60.0]);
-        let (report, sched) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            StaticOuter::new(30, &pf),
-            &mut rng_for(0, 0),
-        );
+        let (report, sched) =
+            Engine::new(&pf, SpeedModel::Fixed, StaticOuter::new(30, &pf)).run(&mut rng_for(0, 0));
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 900);
     }
@@ -143,7 +140,7 @@ mod tests {
         let n = 100;
         let sched = StaticOuter::new(n, &pf);
         let planned = sched.planned_comm() as u64;
-        let (report, _) = hetsched_sim::run(&pf, SpeedModel::Fixed, sched, &mut rng_for(1, 1));
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, sched).run(&mut rng_for(1, 1));
         assert_eq!(report.total_blocks, planned);
 
         // 7/4 of the lower bound, and below the dynamic strategies' ~2.1×.
@@ -151,12 +148,9 @@ mod tests {
         let ratio = report.normalized(lb);
         assert!(ratio <= 1.75 + 0.05, "static ratio {ratio}");
 
-        let (dyn_report, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            hetsched_outer_test_helper(n, 20),
-            &mut rng_for(1, 2),
-        );
+        let (dyn_report, _) =
+            Engine::new(&pf, SpeedModel::Fixed, hetsched_outer_test_helper(n, 20))
+                .run(&mut rng_for(1, 2));
         assert!(
             report.total_blocks < dyn_report.total_blocks,
             "static {} should beat dynamic {} on comm with exact speeds",
@@ -235,12 +229,8 @@ mod tests {
     fn makespan_is_balanced_when_speeds_are_exact() {
         let pf = Platform::from_speeds(vec![25.0, 25.0, 50.0]);
         let n = 60;
-        let (report, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            StaticOuter::new(n, &pf),
-            &mut rng_for(2, 0),
-        );
+        let (report, _) =
+            Engine::new(&pf, SpeedModel::Fixed, StaticOuter::new(n, &pf)).run(&mut rng_for(2, 0));
         let ideal = (n * n) as f64 / pf.total_speed();
         assert!(
             report.makespan < ideal * 1.1,
@@ -267,12 +257,8 @@ mod tests {
         let declared = Platform::homogeneous(2);
         let actual = Platform::from_speeds(vec![1.0, 10.0]);
         let n = 40;
-        let (report, _) = hetsched_sim::run(
-            &actual,
-            SpeedModel::Fixed,
-            StaticOuter::new(n, &declared),
-            &mut rng_for(3, 0),
-        );
+        let (report, _) = Engine::new(&actual, SpeedModel::Fixed, StaticOuter::new(n, &declared))
+            .run(&mut rng_for(3, 0));
         // Worker 0 grinds its ~800 tasks at speed 1 → makespan ≈ 800;
         // a dynamic scheduler would finish in ≈ 1600/11 ≈ 145.
         assert!(

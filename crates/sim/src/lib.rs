@@ -41,8 +41,10 @@
 //! computation (depth-1 prefetch), and the report additionally carries
 //! per-worker transfer-wait time, link utilization, the maximum send-queue
 //! depth, and the bandwidth wasted on workers that die with a batch in
-//! flight. [`NetworkModel::Infinite`] (the default) keeps the original
-//! code path bit for bit.
+//! flight. Both models run through one event loop, generic over the link
+//! (see [`engine`]): [`NetworkModel::Infinite`] (the default) selects its
+//! free instance, where a batch starts the moment it is requested and no
+//! link state exists.
 //!
 //! **Observability** is opt-in via a [`Recorder`]
 //! (`Engine::run_recorded`): every engine event is emitted as a typed
@@ -50,27 +52,23 @@
 //! tasks, per-worker blocks/tasks, strategy knowledge fractions, link
 //! state) is sampled on a [`ProbeConfig`] cadence. The [`sink`] module
 //! renders both as JSONL or Chrome trace-event JSON. Without a recorder the
-//! engines take the exact pre-instrumentation path: one `None` check per
-//! event, no heap allocation.
+//! engine pays one `None` check per event and allocates nothing.
 
 pub mod engine;
-pub mod event;
+mod event;
 pub mod family;
 pub mod metrics;
-mod net_engine;
 pub mod pool;
 pub mod probe;
 pub mod scheduler;
 pub mod sink;
+#[cfg(test)]
+mod testkit;
 pub mod topology;
 pub mod trace;
 pub mod tree;
 
-pub use engine::{
-    run, run_configured, run_configured_recorded, run_configured_traced, run_traced,
-    run_traced_with_failures, run_with_failures, Engine, SimReport,
-};
-pub use event::EventQueue;
+pub use engine::{Engine, SimReport};
 pub use family::{Dynamic, Problem, Random, Sorted, StrategyNames, TaskKernel, TwoPhase};
 pub use hetsched_net::NetworkModel;
 pub use metrics::CommLedger;
@@ -80,4 +78,4 @@ pub use scheduler::{Allocation, Scheduler};
 pub use sink::{ChromeStream, JsonlStream, NullSink, StreamingSink};
 pub use topology::Topology;
 pub use trace::{EventKind, Trace, TraceEvent};
-pub use tree::{run_tree, run_tree_with, ShardSpec, TreeOpts, TreeOutcome};
+pub use tree::{run_tree_with, ShardSpec, TreeOpts, TreeOutcome};

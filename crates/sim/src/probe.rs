@@ -9,7 +9,7 @@
 //! on a configurable cadence ([`ProbeConfig`]), so simulated trajectories
 //! can be overlaid on the analytic ones from `hetsched-analysis`.
 //!
-//! Recording is strictly opt-in: the engines take an
+//! Recording is strictly opt-in: the engine takes an
 //! `Option<&mut Recorder>` and the `None` path performs no extra work and
 //! no heap allocation — the `bench-json` binary pins the unobserved
 //! throughput per PR.
@@ -427,9 +427,8 @@ impl Iterator for ProbeIter<'_> {
 
 /// Collects a [`Trace`] and a [`ProbeSeries`] for one run.
 ///
-/// Attach with [`Engine::run_recorded`](crate::Engine::run_recorded) or the
-/// [`run_configured_recorded`](crate::run_configured_recorded) convenience;
-/// the engines emit every [`TraceEvent`] through it and it decides, per
+/// Attach with [`Engine::run_recorded`](crate::Engine::run_recorded); the
+/// engine emits every [`TraceEvent`] through it and it decides, per
 /// [`ProbeConfig`], when to snapshot the run state. A fresh sample is
 /// always taken at `t = 0` and at the end of the run, so trajectories are
 /// anchored at both ends even with sampling disabled mid-run — unless the

@@ -5,7 +5,7 @@
 //! root partitions the task grid across `submasters` sub-masters (using the
 //! optimal static column partition as the top-level split) and each
 //! sub-master runs any flat strategy over its shard — see
-//! [`crate::tree::run_tree`] for the execution semantics.
+//! [`crate::tree::run_tree_with`] for the execution semantics.
 
 /// How the master/worker platform is wired.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

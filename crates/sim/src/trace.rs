@@ -30,13 +30,13 @@ pub enum EventKind {
     /// The worker died mid-batch: blocks were shipped and `duration` of
     /// compute burned, but no task of the batch completed.
     Lost,
-    /// Networked engine only: a batch in transfer (or arrived but never
+    /// Priced links only: a batch in transfer (or arrived but never
     /// started) toward a worker that died — pure bandwidth waste.
     Stranded,
-    /// Networked engine only: a batch occupying the master link;
+    /// Priced links only: a batch occupying the master link;
     /// `time`/`duration` span the channel busy interval.
     Transfer,
-    /// Networked engine only: the worker sat idle for `duration` waiting
+    /// Priced links only: the worker sat idle for `duration` waiting
     /// for its next batch to arrive (the transfer wait).
     Wait,
     /// A two-phase scheduler crossed its switch threshold while serving

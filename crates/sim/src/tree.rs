@@ -4,9 +4,9 @@
 //! serving every worker. This module composes it into a two-level tree:
 //! the caller statically partitions the task grid into one shard per
 //! sub-master (the top-level split; `hetsched-core` derives it from the
-//! optimal static column partition), and `run_tree` runs one *unchanged*
-//! flat engine per shard over that sub-master's contiguous slice of the
-//! workers. The root only ships each shard's input blocks to its
+//! optimal static column partition), and [`run_tree_with`] runs one
+//! *unchanged* flat engine per shard over that sub-master's contiguous
+//! slice of the workers. The root only ships each shard's input blocks to its
 //! sub-master once, up front; that inter-tier transfer is priced through
 //! [`NetState`] under the run's network model, and a shard's clock starts
 //! when its inputs arrive.
@@ -90,38 +90,13 @@ pub struct TreeOutcome {
 /// Shards must tile the platform contiguously: `start` values in order,
 /// each `len ≥ 1`, jointly covering `0..platform.len()`.
 ///
-/// With `shards.len() == 1` this is *exactly* the flat
-/// `run_configured` path (same platform borrow, no tier pricing). With
-/// more, the root first ships every shard's `input_blocks` over its own
-/// [`NetState`] (one link per sub-master, latency = mean of the shard's
-/// worker latencies, sends issued in shard order at `t = 0`); each shard
-/// then runs on a sliced sub-platform with its failure scenario re-indexed
-/// and shifted onto the shard's local clock.
-///
-/// # Panics
-///
-/// On a non-contiguous shard layout, an invalid network model, or a
-/// failure scenario that kills *every* worker of some shard (each shard
-/// needs a survivor, exactly like a flat platform).
-pub fn run_tree<S: Scheduler + Send>(
-    platform: &Platform,
-    model: SpeedModel,
-    failures: &FailureModel,
-    network: NetworkModel,
-    shards: Vec<ShardSpec<S>>,
-) -> (TreeOutcome, Vec<S>) {
-    run_tree_with(
-        platform,
-        model,
-        failures,
-        network,
-        shards,
-        TreeOpts::default(),
-        None::<&mut Recorder>,
-    )
-}
-
-/// [`run_tree`] with execution knobs and an optional [`Recorder`].
+/// With `shards.len() == 1` this is *exactly* the flat engine run (same
+/// platform borrow, no tier pricing). With more, the root first ships
+/// every shard's `input_blocks` over its own [`NetState`] (one link per
+/// sub-master, latency = mean of the shard's worker latencies, sends
+/// issued in shard order at `t = 0`); each shard then runs on a sliced
+/// sub-platform with its failure scenario re-indexed and shifted onto the
+/// shard's local clock.
 ///
 /// With a single shard the caller's recorder is handed straight to the
 /// flat engine — full trace *and* probe support, bit-identical to a flat
@@ -134,6 +109,12 @@ pub fn run_tree<S: Scheduler + Send>(
 /// time (ties keep shard order) and pushed through `rec`'s normal event
 /// path, so streaming sinks see the same chunked flushes as a flat run.
 /// The merged trace is identical for every `opts.threads` value.
+///
+/// # Panics
+///
+/// On a non-contiguous shard layout, an invalid network model, or a
+/// failure scenario that kills *every* worker of some shard (each shard
+/// needs a survivor, exactly like a flat platform).
 pub fn run_tree_with<S: Scheduler + Send, K: StreamingSink>(
     platform: &Platform,
     model: SpeedModel,
@@ -380,52 +361,55 @@ fn shard_parallel_map<T: Send, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Allocation;
+    use crate::testkit::{self, PoolSched};
     use hetsched_util::rng::rng_for;
 
-    /// Toy shard strategy: hands out single tasks, one block each.
-    struct Pool {
-        remaining: usize,
-        total: usize,
+    /// Single-task batches, one block each.
+    fn pool(total: usize) -> PoolSched {
+        testkit::pool(total, 1)
     }
 
-    fn pool(total: usize) -> Pool {
-        Pool {
-            remaining: total,
-            total,
-        }
+    /// A serial, unrecorded tree run.
+    fn run_tree(
+        platform: &Platform,
+        model: SpeedModel,
+        failures: &FailureModel,
+        network: NetworkModel,
+        shards: Vec<ShardSpec<PoolSched>>,
+    ) -> (TreeOutcome, Vec<PoolSched>) {
+        run_tree_with(
+            platform,
+            model,
+            failures,
+            network,
+            shards,
+            TreeOpts::default(),
+            None::<&mut Recorder>,
+        )
     }
 
-    impl Scheduler for Pool {
-        fn on_request(&mut self, _k: ProcId, _rng: &mut StdRng, out: &mut Vec<u32>) -> Allocation {
-            if self.remaining == 0 {
-                return Allocation::DONE;
-            }
-            self.remaining -= 1;
-            out.push(self.remaining as u32);
-            Allocation {
-                tasks: 1,
-                blocks: 1,
-            }
-        }
-        fn on_tasks_lost(&mut self, ids: &[u32]) {
-            self.remaining += ids.len();
-        }
-        fn remaining(&self) -> usize {
-            self.remaining
-        }
-        fn total_tasks(&self) -> usize {
-            self.total
-        }
-        fn name(&self) -> &'static str {
-            "Pool"
-        }
+    /// A fault-free flat run.
+    fn flat(
+        platform: &Platform,
+        sched: PoolSched,
+        net: NetworkModel,
+        rng: &mut StdRng,
+    ) -> SimReport {
+        Engine::new(platform, SpeedModel::Fixed, sched)
+            .with_network(net)
+            .run(rng)
+            .0
     }
 
     #[test]
     fn single_shard_is_bit_identical_to_flat() {
         let pf = Platform::from_speeds(vec![10.0, 30.0, 60.0]);
-        let (flat, _) = crate::run(&pf, SpeedModel::Fixed, pool(300), &mut rng_for(3, 0x22));
+        let flat = flat(
+            &pf,
+            pool(300),
+            NetworkModel::Infinite,
+            &mut rng_for(3, 0x22),
+        );
         let shards = vec![ShardSpec {
             scheduler: pool(300),
             start: 0,
@@ -566,19 +550,15 @@ mod tests {
         // a one-worker flat run, so the flat engine is the oracle for the
         // per-shard (local) utilizations and makespans.
         let net = NetworkModel::OnePort { master_bw: 5.0 };
-        let (fast, _) = crate::run_configured(
+        let fast = flat(
             &Platform::from_speeds(vec![100.0]),
-            SpeedModel::Fixed,
             pool(40),
-            &FailureModel::none(),
             net,
             &mut rng_for(5, 0),
         );
-        let (slow, _) = crate::run_configured(
+        let slow = flat(
             &Platform::from_speeds(vec![10.0]),
-            SpeedModel::Fixed,
             pool(40),
-            &FailureModel::none(),
             net,
             &mut rng_for(5, 1),
         );

@@ -14,7 +14,7 @@
 use hetsched::outer::DynamicOuter2Phases;
 use hetsched::partition::StaticOuter;
 use hetsched::platform::{outer_lower_bound, Platform, SpeedModel};
-use hetsched::sim::run_traced;
+use hetsched::sim::Engine;
 use hetsched::util::rng::rng_for;
 
 fn main() {
@@ -32,12 +32,9 @@ fn main() {
 
     println!("Outer product, n = {n}: worker 0 runs 5× slower than declared.\n");
 
-    let (s_rep, _, s_trace) = run_traced(
-        &actual,
-        SpeedModel::Fixed,
-        StaticOuter::new(n, &declared),
-        &mut rng_for(1, 0),
-    );
+    let (s_rep, _, s_trace) =
+        Engine::new(&actual, SpeedModel::Fixed, StaticOuter::new(n, &declared))
+            .run_traced(&mut rng_for(1, 0));
     println!("StaticOuter (plan from declared speeds):");
     println!(
         "  comm {:.2}× bound, makespan {:.2}× ideal",
@@ -47,12 +44,12 @@ fn main() {
     println!("{}", s_trace.gantt(p, 60));
 
     let beta = hetsched::analysis::beta_homogeneous_outer(p, n);
-    let (d_rep, _, d_trace) = run_traced(
+    let (d_rep, _, d_trace) = Engine::new(
         &actual,
         SpeedModel::Fixed,
         DynamicOuter2Phases::with_beta(n, p, beta),
-        &mut rng_for(1, 0),
-    );
+    )
+    .run_traced(&mut rng_for(1, 0));
     println!("DynamicOuter2Phases (speed-agnostic, β_hom = {beta:.2}):");
     println!(
         "  comm {:.2}× bound, makespan {:.2}× ideal",

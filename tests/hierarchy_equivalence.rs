@@ -1,7 +1,7 @@
 //! The tree topology must be invisible at `submasters = 1`.
 //!
 //! A single-sub-master tree takes the real tree code path — shard
-//! planning, rectangular shard schedulers, `run_tree` — but must reproduce
+//! planning, rectangular shard schedulers, `run_tree_with` — but must reproduce
 //! the flat engine bit for bit: same platform borrow, same RNG stream, no
 //! tier transfers. This pins the identity for all eight strategies, with
 //! and without a priced network, and with and without fault injection —

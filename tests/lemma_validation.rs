@@ -14,7 +14,7 @@ use hetsched::analysis::{MatmulAnalysis, OuterAnalysis};
 use hetsched::matmul::DynamicMatrix;
 use hetsched::outer::{DynamicOuter, DynamicOuter2Phases};
 use hetsched::platform::{Platform, ProcId, SpeedModel};
-use hetsched::sim::run_traced;
+use hetsched::sim::Engine;
 use hetsched::util::rng::rng_for;
 
 /// Lemma 2: the time at which a worker knows a fraction `x` of the
@@ -26,12 +26,8 @@ fn lemma2_time_evolution_matches_trace() {
     let p = 20;
     let pf = Platform::homogeneous(p);
     let alpha = (p - 1) as f64;
-    let (_, _, trace) = run_traced(
-        &pf,
-        SpeedModel::Fixed,
-        DynamicOuter::new(n, p),
-        &mut rng_for(0x12, 0),
-    );
+    let (_, _, trace) = Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(n, p))
+        .run_traced(&mut rng_for(0x12, 0));
 
     // Reconstruct worker 0's (t, x) trajectory from its block counts.
     let mut cum_blocks = 0u64;
@@ -72,12 +68,12 @@ fn lemma3_switch_fractions_match_trace() {
     let model = OuterAnalysis::new(&pf, n);
     let threshold = ((-beta).exp() * (n * n) as f64).round() as usize;
 
-    let (_, _, trace) = run_traced(
+    let (_, _, trace) = Engine::new(
         &pf,
         SpeedModel::Fixed,
         DynamicOuter2Phases::with_beta(n, p, beta),
-        &mut rng_for(0x13, 0),
-    );
+    )
+    .run_traced(&mut rng_for(0x13, 0));
 
     // Replay the trace until the remaining-task count crosses the
     // threshold; accumulate per-worker blocks up to that point.
@@ -112,12 +108,8 @@ fn lemma8_matmul_time_evolution_matches_trace() {
     let p = 50;
     let pf = Platform::homogeneous(p);
     let alpha = (p - 1) as f64;
-    let (_, _, trace) = run_traced(
-        &pf,
-        SpeedModel::Fixed,
-        DynamicMatrix::new(n, p),
-        &mut rng_for(0x14, 0),
-    );
+    let (_, _, trace) = Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(n, p))
+        .run_traced(&mut rng_for(0x14, 0));
 
     let mut cum_blocks = 0u64;
     let mut checked = 0;
@@ -158,12 +150,8 @@ fn x_at_time_matches_trace() {
     let p = 20;
     let pf = Platform::homogeneous(p);
     let alpha = (p - 1) as f64;
-    let (_, _, trace) = run_traced(
-        &pf,
-        SpeedModel::Fixed,
-        DynamicOuter::new(n, p),
-        &mut rng_for(0x15, 0),
-    );
+    let (_, _, trace) = Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(n, p))
+        .run_traced(&mut rng_for(0x15, 0));
     let mut cum_blocks = 0u64;
     for ev in trace.events().iter().filter(|e| e.proc == ProcId(0)) {
         cum_blocks += ev.blocks;
@@ -189,18 +177,14 @@ fn dynamic_end_game_is_back_loaded_and_two_phase_fixes_it() {
     let n = 120;
     let p = 12;
     let pf = Platform::homogeneous(p);
-    let (_, _, dyn_trace) = run_traced(
-        &pf,
-        SpeedModel::Fixed,
-        DynamicOuter::new(n, p),
-        &mut rng_for(0x16, 0),
-    );
-    let (_, _, two_trace) = run_traced(
+    let (_, _, dyn_trace) = Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(n, p))
+        .run_traced(&mut rng_for(0x16, 0));
+    let (_, _, two_trace) = Engine::new(
         &pf,
         SpeedModel::Fixed,
         DynamicOuter2Phases::with_beta(n, p, 4.3),
-        &mut rng_for(0x16, 0),
-    );
+    )
+    .run_traced(&mut rng_for(0x16, 0));
     let dyn_tail = 1.0 - dyn_trace.comm_front_loading(0.9);
     let two_tail = 1.0 - two_trace.comm_front_loading(0.9);
     assert!(

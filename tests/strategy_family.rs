@@ -12,7 +12,7 @@ use hetsched::platform::{
     matmul_lower_bound, outer_lower_bound, Platform, ProcId, SpeedDistribution, SpeedModel,
 };
 use hetsched::sim::{
-    run, Dynamic, Random, Scheduler, Sorted, StrategyNames, TaskKernel, TaskPool, TwoPhase,
+    Dynamic, Engine, Random, Scheduler, Sorted, StrategyNames, TaskKernel, TaskPool, TwoPhase,
 };
 use hetsched::util::rng::rng_for;
 
@@ -198,7 +198,7 @@ fn dynamic_step_returns_immediately_when_no_tasks_remain() {
 
 fn completes_under_engine<S: Scheduler>(speeds: &[f64], sched: S, seed: u64, tasks: usize) {
     let pf = Platform::from_speeds(speeds.to_vec());
-    let (report, sched) = run(&pf, SpeedModel::Fixed, sched, &mut rng_for(seed, 0));
+    let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, sched).run(&mut rng_for(seed, 0));
     assert_eq!(sched.remaining(), 0, "{}", sched.name());
     assert_eq!(
         report.ledger.total_tasks(),
@@ -228,7 +228,7 @@ fn completes_all_tasks() {
 fn single_worker_ships_each_block_once<S: Scheduler>(sched: S, seed: u64, blocks: u64) {
     let pf = Platform::from_speeds(vec![3.0]);
     let name = sched.name();
-    let (report, _) = run(&pf, SpeedModel::Fixed, sched, &mut rng_for(seed, 0));
+    let (report, _) = Engine::new(&pf, SpeedModel::Fixed, sched).run(&mut rng_for(seed, 0));
     assert_eq!(report.total_blocks, blocks, "{name}");
 }
 
@@ -266,12 +266,8 @@ fn sorted_allocates_in_lexicographic_order() {
 fn random_comm_far_above_lower_bound<K: Case>(n: usize, p: usize) {
     // Random allocation replicates massively.
     let pf = Platform::homogeneous(p);
-    let (report, _) = run(
-        &pf,
-        SpeedModel::Fixed,
-        Random::<K>::new(n, p),
-        &mut rng_for(1, 0),
-    );
+    let (report, _) =
+        Engine::new(&pf, SpeedModel::Fixed, Random::<K>::new(n, p)).run(&mut rng_for(1, 0));
     let normalized = report.normalized(K::lower_bound(n, &pf));
     assert!(
         normalized > 2.0,
@@ -287,12 +283,8 @@ fn communication_far_above_lower_bound() {
 
 fn random_comm_bounded_per_task<K: Case>(n: usize, p: usize) {
     let pf = Platform::homogeneous(p);
-    let (report, _) = run(
-        &pf,
-        SpeedModel::Fixed,
-        Random::<K>::new(n, p),
-        &mut rng_for(2, 0),
-    );
+    let (report, _) =
+        Engine::new(&pf, SpeedModel::Fixed, Random::<K>::new(n, p)).run(&mut rng_for(2, 0));
     assert!(report.total_blocks <= K::BLOCKS_PER_TASK * K::tasks_of(n) as u64);
 }
 
@@ -307,18 +299,10 @@ fn comm_never_exceeds_one_task_worth_of_blocks_per_task() {
 fn dynamic_vs_random<K: Case>(n: usize) -> (f64, f64) {
     let pf = Platform::sample(20, &SpeedDistribution::paper_default(), &mut rng_for(1, 0));
     let lb = K::lower_bound(n, &pf);
-    let (d, _) = run(
-        &pf,
-        SpeedModel::Fixed,
-        Dynamic::<K>::new(n, 20),
-        &mut rng_for(1, 1),
-    );
-    let (r, _) = run(
-        &pf,
-        SpeedModel::Fixed,
-        Random::<K>::new(n, 20),
-        &mut rng_for(1, 1),
-    );
+    let (d, _) =
+        Engine::new(&pf, SpeedModel::Fixed, Dynamic::<K>::new(n, 20)).run(&mut rng_for(1, 1));
+    let (r, _) =
+        Engine::new(&pf, SpeedModel::Fixed, Random::<K>::new(n, 20)).run(&mut rng_for(1, 1));
     let (d, r) = (d.normalized(lb), r.normalized(lb));
     assert!(d < r, "dynamic {d} should beat random {r}");
     (d, r)
@@ -372,8 +356,8 @@ fn blocks_of<K: Case, S: Scheduler>(
     pure: S,
     seed: u64,
 ) -> (u64, u64, TwoPhase<K>) {
-    let (a, two) = run(pf, SpeedModel::Fixed, two, &mut rng_for(seed, 7));
-    let (b, _) = run(pf, SpeedModel::Fixed, pure, &mut rng_for(seed, 7));
+    let (a, two) = Engine::new(pf, SpeedModel::Fixed, two).run(&mut rng_for(seed, 7));
+    let (b, _) = Engine::new(pf, SpeedModel::Fixed, pure).run(&mut rng_for(seed, 7));
     (a.total_blocks, b.total_blocks, two)
 }
 
@@ -446,12 +430,8 @@ fn fraction_one_is_pure_dynamic() {
 
 fn phase_accounting<K: Case>(n: usize, beta: f64) {
     let pf = Platform::from_speeds(vec![20.0, 30.0, 50.0]);
-    let (report, sched) = run(
-        &pf,
-        SpeedModel::Fixed,
-        TwoPhase::<K>::with_beta(n, 3, beta),
-        &mut rng_for(2, 0),
-    );
+    let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, TwoPhase::<K>::with_beta(n, 3, beta))
+        .run(&mut rng_for(2, 0));
     let (phase1_blocks, phase2_blocks, phase1_tasks, phase2_tasks) = sched.phase_split();
     assert_eq!(phase1_tasks + phase2_tasks, K::tasks_of(n));
     assert_eq!(phase1_blocks + phase2_blocks, report.total_blocks);
@@ -475,18 +455,14 @@ fn improves_on_dynamic<K: Case>(n: usize, beta: f64, trials: u64, seed_base: u64
     let mut dyn_sum = 0.0;
     let mut two_sum = 0.0;
     for t in 0..trials {
-        let (d, _) = run(
-            &pf,
-            SpeedModel::Fixed,
-            Dynamic::<K>::new(n, 20),
-            &mut rng_for(seed_base + t, 0),
-        );
-        let (w, _) = run(
+        let (d, _) = Engine::new(&pf, SpeedModel::Fixed, Dynamic::<K>::new(n, 20))
+            .run(&mut rng_for(seed_base + t, 0));
+        let (w, _) = Engine::new(
             &pf,
             SpeedModel::Fixed,
             TwoPhase::<K>::with_beta(n, 20, beta),
-            &mut rng_for(seed_base + t, 0),
-        );
+        )
+        .run(&mut rng_for(seed_base + t, 0));
         dyn_sum += d.normalized(lb);
         two_sum += w.normalized(lb);
     }
@@ -505,12 +481,8 @@ fn improves_on_pure_dynamic_with_good_beta() {
 fn single_task_problem<K: Case>(p: usize, beta: f64, seed: u64) {
     // Degenerate problem: a single task.
     let pf = Platform::homogeneous(p);
-    let (report, sched) = run(
-        &pf,
-        SpeedModel::Fixed,
-        TwoPhase::<K>::with_beta(1, p, beta),
-        &mut rng_for(seed, 0),
-    );
+    let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, TwoPhase::<K>::with_beta(1, p, beta))
+        .run(&mut rng_for(seed, 0));
     let (_, _, phase1_tasks, phase2_tasks) = sched.phase_split();
     assert_eq!(phase1_tasks + phase2_tasks, 1);
     assert_eq!(report.ledger.total_tasks(), 1);
