@@ -312,9 +312,11 @@ pub fn trace_jsonl_rows(campaign: &str, text: &str) -> Result<Vec<Row>, String> 
                 .to_string(),
         );
     }
+    let manifest = extract_object(first, "manifest")
+        .ok_or_else(|| "trace manifest line has no manifest object".to_string())?;
     let seed =
-        extract_u64(first, "seed").ok_or_else(|| "trace manifest has no seed".to_string())?;
-    let config_obj = extract_object(first, "config")
+        extract_u64(manifest, "seed").ok_or_else(|| "trace manifest has no seed".to_string())?;
+    let config_obj = extract_object(manifest, "config")
         .ok_or_else(|| "trace manifest has no config object".to_string())?;
     let config = format!("{:016x}", fnv1a64(config_obj.as_bytes()));
     let strategy = extract_str(config_obj, "strategy").unwrap_or_default();

@@ -3,39 +3,113 @@
 //! Every artifact this workspace writes is hand-assembled single-line
 //! JSON (manifests, probe JSONL, serve event logs, `BENCH_*.json`), so
 //! ingest only needs three things: pull one string or number field out of
-//! a line, slice out one balanced `{...}` sub-object, and flatten a whole
-//! document's numeric leaves into dotted paths. No tree is ever built.
+//! an object, slice out one balanced `{...}` sub-object, and flatten a
+//! whole document's numeric leaves into dotted paths. No tree is ever
+//! built. Field lookups see top-level members only: a key of the same
+//! name inside a nested object, or text inside a string, never matches.
 
-/// Index just past `"key":` in `line`, with any whitespace after the
-/// colon skipped — our writers emit compact JSON, but `BENCH_*.json`
-/// snapshots are pretty-printed.
+/// Index of the value of the top-level member `"key"` of the object
+/// `line`, with any whitespace before it skipped — our writers emit
+/// compact JSON, but `BENCH_*.json` snapshots are pretty-printed. An
+/// object cut short after the member (the head of a pretty-printed
+/// document) still answers.
 fn after_key(line: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    let mut start = line.find(&needle)? + needle.len();
     let bytes = line.as_bytes();
-    while matches!(bytes.get(start), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        start += 1;
+    let mut pos = 0;
+    skip_ws(bytes, &mut pos);
+    if bytes.get(pos) != Some(&b'{') {
+        return None;
     }
-    Some(start)
+    pos += 1;
+    loop {
+        skip_ws(bytes, &mut pos);
+        match bytes.get(pos)? {
+            b',' => {
+                pos += 1;
+                continue;
+            }
+            b'"' => {}
+            _ => return None,
+        }
+        let name_start = pos + 1;
+        skip_string(bytes, &mut pos)?;
+        let name = &line[name_start..pos - 1];
+        skip_ws(bytes, &mut pos);
+        if bytes.get(pos) != Some(&b':') {
+            return None;
+        }
+        pos += 1;
+        skip_ws(bytes, &mut pos);
+        if name == key {
+            return Some(pos);
+        }
+        skip_value(bytes, &mut pos)?;
+    }
+}
+
+/// Advances `pos` past the string starting at `bytes[*pos]` (a `"`),
+/// escapes included; `None` when there is no string or it is cut short.
+fn skip_string(bytes: &[u8], pos: &mut usize) -> Option<()> {
+    if bytes.get(*pos) != Some(&b'"') {
+        return None;
+    }
+    *pos += 1;
+    loop {
+        match bytes.get(*pos)? {
+            b'\\' => *pos += 2,
+            b'"' => {
+                *pos += 1;
+                return Some(());
+            }
+            _ => *pos += 1,
+        }
+    }
+}
+
+/// Advances `pos` past the value starting at `bytes[*pos]`: a string, a
+/// balanced object or array (string-aware), or a scalar.
+fn skip_value(bytes: &[u8], pos: &mut usize) -> Option<()> {
+    match bytes.get(*pos)? {
+        b'"' => skip_string(bytes, pos),
+        b'{' | b'[' => {
+            let mut depth = 0usize;
+            loop {
+                match bytes.get(*pos)? {
+                    b'"' => {
+                        skip_string(bytes, pos)?;
+                        continue;
+                    }
+                    b'{' | b'[' => depth += 1,
+                    b'}' | b']' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            *pos += 1;
+                            return Some(());
+                        }
+                    }
+                    _ => {}
+                }
+                *pos += 1;
+            }
+        }
+        _ => {
+            while bytes
+                .get(*pos)
+                .is_some_and(|b| !matches!(b, b',' | b'}' | b']') && !b.is_ascii_whitespace())
+            {
+                *pos += 1;
+            }
+            Some(())
+        }
+    }
 }
 
 /// The raw (still escaped) value of `"key":"..."` in `line`.
 fn raw_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let start = after_key(line, key)?;
-    let bytes = line.as_bytes();
-    if bytes.get(start) != Some(&b'"') {
-        return None;
-    }
-    let start = start + 1;
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(&line[start..i]),
-            _ => i += 1,
-        }
-    }
-    None
+    let mut end = start;
+    skip_string(line.as_bytes(), &mut end)?;
+    Some(&line[start + 1..end - 1])
 }
 
 /// Unescapes the subset of JSON escapes our writers emit.
@@ -95,37 +169,12 @@ pub fn extract_u64(line: &str, key: &str) -> Option<u64> {
 /// not count.
 pub fn extract_object<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let start = after_key(line, key)?;
-    let bytes = line.as_bytes();
-    let open = *bytes.get(start)?;
-    let close = match open {
-        b'{' => b'}',
-        b'[' => b']',
-        _ => return None,
-    };
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut i = start;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            match b {
-                b'\\' => i += 1,
-                b'"' => in_str = false,
-                _ => {}
-            }
-        } else if b == b'"' {
-            in_str = true;
-        } else if b == open {
-            depth += 1;
-        } else if b == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(&line[start..=i]);
-            }
-        }
-        i += 1;
+    if !matches!(line.as_bytes().get(start), Some(b'{' | b'[')) {
+        return None;
     }
-    None
+    let mut end = start;
+    skip_value(line.as_bytes(), &mut end)?;
+    Some(&line[start..end])
 }
 
 /// Flattens every numeric leaf of a JSON document into `(dotted.path,
@@ -248,21 +297,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at offset {pos}"));
     }
-    *pos += 1;
-    let start = *pos;
-    while *pos < bytes.len() {
-        match bytes[*pos] {
-            b'\\' => *pos += 2,
-            b'"' => {
-                let raw = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|e| format!("non-UTF-8 string: {e}"))?;
-                *pos += 1;
-                return Ok(unescape(raw));
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
+    let start = *pos + 1;
+    skip_string(bytes, pos).ok_or_else(|| "unterminated string".to_string())?;
+    let raw = std::str::from_utf8(&bytes[start..*pos - 1])
+        .map_err(|e| format!("non-UTF-8 string: {e}"))?;
+    Ok(unescape(raw))
 }
 
 fn expect_lit(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
@@ -291,6 +330,29 @@ mod tests {
         let pretty = "{\n  \"date\": \"2026-08-08\",\n  \"threads\": 4\n}";
         assert_eq!(extract_str(pretty, "date").as_deref(), Some("2026-08-08"));
         assert_eq!(extract_num(pretty, "threads"), Some(4.0));
+    }
+
+    #[test]
+    fn lookups_match_top_level_keys_only() {
+        // A nested member of the same name comes first; the top-level one
+        // answers.
+        let line = r#"{"config":{"seed":1,"name":"x"},"seed":2}"#;
+        assert_eq!(extract_u64(line, "seed"), Some(2));
+        assert_eq!(extract_str(line, "name"), None);
+        assert_eq!(extract_u64(r#"{"config":{"seed":1}}"#, "seed"), None);
+        let arr = r#"{"xs":[{"seed":1}],"seed":3}"#;
+        assert_eq!(extract_u64(arr, "seed"), Some(3));
+        // Text inside a string value is not a key.
+        let quoted = r#"{"note":"\"seed\":5, {","seed":6}"#;
+        assert_eq!(extract_u64(quoted, "seed"), Some(6));
+        // Not an object, or cut short before the key: no answer.
+        assert_eq!(extract_u64(r#"["seed",1]"#, "seed"), None);
+        assert_eq!(extract_u64(r#"{"a":{"seed":1"#, "seed"), None);
+        // The head of a pretty-printed document still answers for keys it
+        // holds.
+        let head = "{\n  \"date\": \"2026-08-08\",\n  \"host\": {\n    \"cores\": 2,";
+        assert_eq!(extract_str(head, "date").as_deref(), Some("2026-08-08"));
+        assert_eq!(extract_num(head, "cores"), None);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! * strings are chunk-local dictionary encoded;
 //! * floats are raw little-endian bits, so `value` round-trips exactly;
 //! * every segment footer carries a column index, row counts, min/max
-//!   zone maps (chunk pruning) and the batch's run keys (replay-safe
+//!   zone maps per chunk and per 4 Ki-row page, dictionary-presence
+//!   bitsets per page (pruning), and the batch's run keys (replay-safe
 //!   dedupe without decoding a single row).
 //!
-//! On top sits a small query engine (`--select` / `--where` /
-//! `--group-by` / `--agg`, CSV or JSONL out) and the canned
+//! On top sits a small column-at-a-time query engine (`--select` /
+//! `--where` / `--group-by` / `--agg`, CSV or JSONL out) and the canned
 //! [`stats_report`]. No dependencies beyond the workspace's own crates;
 //! no background process — a store is a directory, a reader is `open` +
 //! scan.

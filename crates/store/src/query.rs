@@ -12,11 +12,26 @@
 //!   nearest-rank `pNN` percentiles, 0 ≤ NN ≤ 100);
 //! * `--limit N` — output row cap.
 //!
-//! Scans prune whole chunks first: numeric predicates against the footer
-//! zone maps, string equality against the chunk dictionary (header-only
-//! decode). Surviving chunks decode their *filter* columns first, and the
-//! projected/aggregated columns only for chunks where some row matched —
-//! a chunk that zone-passes but row-fails costs one column, not all.
+//! A scan works a column at a time and never materialises a `Row` or a
+//! `String` per cell. Per chunk, in this order:
+//!
+//! 1. **Chunk pruning.** Numeric predicates test the chunk's footer zone
+//!    map; each string literal is looked up once in the chunk
+//!    dictionary, and `=` on an absent string prunes the chunk.
+//! 2. **Page pruning.** Each page's footer entry settles a predicate
+//!    where it can: a numeric zone outside the literal skips the page,
+//!    an integer zone inside it admits every row; a dictionary-presence
+//!    bitset without the literal's index skips an `=` page, one holding
+//!    only that index admits it whole (`!=` the other way round).
+//! 3. **Selection vector.** The page's rows start selected; every
+//!    predicate the footer could not settle decodes its column's page
+//!    (typed: dictionary indices, `u64` bits, `f64`) and narrows the
+//!    selection. String predicates compare dictionary indices.
+//! 4. **Output.** Only pages with selected rows decode the projected,
+//!    grouped and aggregated columns. Group keys are tuples of
+//!    dictionary indices and raw number bits, mapped back to strings
+//!    once per group per chunk; each group's states accumulate in row
+//!    order within the chunk.
 //!
 //! Chunks scan in parallel ([`run_query_with`] takes a thread count;
 //! `None` means all cores). Each chunk produces a partial result —
@@ -24,18 +39,18 @@
 //! merge in (segment-name, chunk) order, so output is **byte-identical at
 //! any thread count**: sums associate per chunk then across chunks in one
 //! fixed order, percentile buffers concatenate in chunk order before the
-//! final sort. NaN cells match no predicate and are skipped by every
+//! nearest-rank selection. NaN cells match no predicate and are skipped by every
 //! aggregate except `count`, mirroring SQL NULL. Group keys sort with a
 //! total order (NaN groups last), and ungrouped scans emit rows in
 //! segment-name/chunk/row order, so output is deterministic — the golden
 //! byte-stability tests in the CLI and `tests/store_parallel.rs` pin this.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use hetsched_core::runner::parallel_map;
 
-use crate::column::{str_chunk_contains, ColumnData};
+use crate::column::{bit, Cells};
 use crate::schema::{column_index, ColumnType, Value, COLUMNS};
 use crate::segment::Segment;
 use crate::store::Store;
@@ -329,15 +344,6 @@ impl Ord for TotalF64 {
     }
 }
 
-fn key_of(v: &Value) -> Key {
-    match v {
-        Value::Str(s) => Key::Str(s.clone()),
-        Value::U64(x) => Key::U64(*x),
-        Value::I64(x) => Key::I64(*x),
-        Value::F64(x) => Key::F64(TotalF64(*x)),
-    }
-}
-
 fn key_value(k: &Key) -> Value {
     match k {
         Key::Str(s) => Value::Str(s.clone()),
@@ -359,26 +365,32 @@ impl QueryResult {
         let mut out = self.header.join(",");
         out.push('\n');
         for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(Value::render_csv).collect();
-            out.push_str(&cells.join(","));
+            for (i, v) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                v.write_csv(&mut out);
+            }
             out.push('\n');
         }
         out
     }
 
     pub fn to_jsonl(&self) -> String {
+        let keys: Vec<String> = self
+            .header
+            .iter()
+            .map(|name| format!("\"{}\":", hetsched_core::provenance::json_escape(name)))
+            .collect();
         let mut out = String::new();
         for row in &self.rows {
             out.push('{');
-            for (i, (name, v)) in self.header.iter().zip(row).enumerate() {
+            for (i, (key, v)) in keys.iter().zip(row).enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "\"{}\":{}",
-                    hetsched_core::provenance::json_escape(name),
-                    v.render_json()
-                ));
+                out.push_str(key);
+                v.write_json(&mut out);
             }
             out.push_str("}\n");
         }
@@ -386,30 +398,13 @@ impl QueryResult {
     }
 }
 
-/// True when `value` satisfies `op literal`. NaN cells match nothing.
-fn matches(value: &Value, op: CmpOp, literal: &Literal) -> bool {
-    match (value, literal) {
-        (Value::Str(s), Literal::Str(lit)) => match op {
-            CmpOp::Eq => s == lit,
-            CmpOp::Ne => s != lit,
-            _ => false,
-        },
-        (v, Literal::Num(lit)) => {
-            let Some(x) = v.as_f64() else { return false };
-            if x.is_nan() {
-                return false;
-            }
-            match op {
-                CmpOp::Eq => x == *lit,
-                CmpOp::Ne => x != *lit,
-                CmpOp::Lt => x < *lit,
-                CmpOp::Le => x <= *lit,
-                CmpOp::Gt => x > *lit,
-                CmpOp::Ge => x >= *lit,
-            }
-        }
-        _ => false,
-    }
+/// What a page's (or chunk's) footer entry says about a predicate: no
+/// row can match, every row matches, or the rows must be tested.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Verdict {
+    Skip,
+    All,
+    Test,
 }
 
 /// Can any row in a chunk with numeric zone `(lo, hi)` satisfy the
@@ -424,6 +419,128 @@ fn zone_admits(zone: (f64, f64), op: CmpOp, lit: f64) -> bool {
         CmpOp::Le => lo <= lit,
         CmpOp::Gt => hi > lit,
         CmpOp::Ge => hi >= lit,
+    }
+}
+
+/// Does every value in zone `(lo, hi)` satisfy the predicate?
+fn zone_implies(zone: (f64, f64), op: CmpOp, lit: f64) -> bool {
+    let (lo, hi) = zone;
+    match op {
+        CmpOp::Eq => lo == lit && hi == lit,
+        CmpOp::Ne => lit < lo || lit > hi,
+        CmpOp::Lt => hi < lit,
+        CmpOp::Le => hi <= lit,
+        CmpOp::Gt => lo > lit,
+        CmpOp::Ge => lo >= lit,
+    }
+}
+
+/// A numeric predicate against a zone. `None` means every value is NaN,
+/// which nothing matches; float columns may hide NaN rows inside any
+/// zone, so only integer zones can admit a whole page.
+fn zone_verdict(zone: Option<(f64, f64)>, op: CmpOp, lit: f64, may_nan: bool) -> Verdict {
+    match zone {
+        None => Verdict::Skip,
+        Some(z) if !zone_admits(z, op, lit) => Verdict::Skip,
+        Some(z) if !may_nan && zone_implies(z, op, lit) => Verdict::All,
+        Some(_) => Verdict::Test,
+    }
+}
+
+/// A string (in)equality against a page's dictionary-presence bitset
+/// (`None`: unknown). `needle` is the literal's chunk dictionary index.
+fn str_verdict(present: Option<&[u8]>, needle: Option<u32>, ne: bool) -> Verdict {
+    let Some(id) = needle else {
+        return if ne { Verdict::All } else { Verdict::Skip };
+    };
+    let Some(bits) = present else {
+        return Verdict::Test;
+    };
+    let has = bit(bits, id);
+    let others = bits.iter().enumerate().any(|(i, &b)| {
+        let mask = if i == id as usize / 8 {
+            !(1u8 << (id % 8))
+        } else {
+            0xff
+        };
+        b & mask != 0
+    });
+    match (has, others) {
+        (false, _) if ne => Verdict::All,
+        (false, _) => Verdict::Skip,
+        (true, false) if ne => Verdict::Skip,
+        (true, false) => Verdict::All,
+        (true, true) => Verdict::Test,
+    }
+}
+
+/// A filter compiled against the schema.
+enum Pred<'q> {
+    /// `col = lit` (or `!=` when `ne`) on a string column.
+    Str { col: usize, ne: bool, lit: &'q str },
+    /// `col op lit` on a numeric column.
+    Num { col: usize, op: CmpOp, lit: f64 },
+    /// A literal of the wrong type, or an ordering on strings: matches
+    /// no row.
+    Never,
+}
+
+impl<'q> Pred<'q> {
+    fn compile(f: &'q Filter) -> Pred<'q> {
+        match (COLUMNS[f.col].1, &f.literal) {
+            (ColumnType::Str, Literal::Str(lit)) if matches!(f.op, CmpOp::Eq | CmpOp::Ne) => {
+                Pred::Str {
+                    col: f.col,
+                    ne: f.op == CmpOp::Ne,
+                    lit,
+                }
+            }
+            (ColumnType::Str, _) | (_, Literal::Str(_)) => Pred::Never,
+            (_, Literal::Num(lit)) => Pred::Num {
+                col: f.col,
+                op: f.op,
+                lit: *lit,
+            },
+        }
+    }
+}
+
+/// The numeric view of row `r` of a numeric column: integers widen to
+/// `f64` (as `I64` when `signed`).
+fn num_at(cells: &Cells, signed: bool, r: usize) -> f64 {
+    match cells {
+        Cells::Int(v) if signed => v[r] as i64 as f64,
+        Cells::Int(v) => v[r] as f64,
+        Cells::F64(v) => v[r],
+        Cells::Str(_) => f64::NAN,
+    }
+}
+
+/// Keeps the rows of `sel` whose value `x(r)` satisfies `op lit`. NaN
+/// satisfies nothing (every comparison with NaN is false but `!=`).
+fn retain_cmp(sel: &mut Vec<u32>, x: impl Fn(usize) -> f64, op: CmpOp, lit: f64) {
+    let x = |r: &u32| x(*r as usize);
+    match op {
+        CmpOp::Eq => sel.retain(|r| x(r) == lit),
+        CmpOp::Ne => sel.retain(|r| {
+            let v = x(r);
+            !v.is_nan() && v != lit
+        }),
+        CmpOp::Lt => sel.retain(|r| x(r) < lit),
+        CmpOp::Le => sel.retain(|r| x(r) <= lit),
+        CmpOp::Gt => sel.retain(|r| x(r) > lit),
+        CmpOp::Ge => sel.retain(|r| x(r) >= lit),
+    }
+}
+
+/// Narrows the selection vector `sel` by `op lit` on a decoded numeric
+/// page.
+fn refine_num(sel: &mut Vec<u32>, cells: &Cells, signed: bool, op: CmpOp, lit: f64) {
+    match cells {
+        Cells::F64(v) => retain_cmp(sel, |r| v[r], op, lit),
+        Cells::Int(v) if signed => retain_cmp(sel, |r| v[r] as i64 as f64, op, lit),
+        Cells::Int(v) => retain_cmp(sel, |r| v[r] as f64, op, lit),
+        Cells::Str(_) => sel.clear(),
     }
 }
 
@@ -509,12 +626,193 @@ impl AggState {
                 if values.is_empty() {
                     return f64::NAN;
                 }
-                values.sort_by(f64::total_cmp);
+                // Nearest rank. Values equal under `total_cmp` have equal
+                // bits, so selecting the rank picks what a full sort would.
                 let rank = ((p / 100.0) * values.len() as f64).ceil() as usize;
-                values[rank.max(1) - 1]
+                let (_, v, _) = values.select_nth_unstable_by(rank.max(1) - 1, f64::total_cmp);
+                *v
             }
             _ => unreachable!("aggregate state does not match its function"),
         }
+    }
+}
+
+/// The compiled query shared by every chunk scan.
+struct Plan<'q> {
+    q: &'q Query,
+    preds: Vec<Pred<'q>>,
+    /// Projected columns of an ungrouped scan.
+    select: Vec<usize>,
+    /// Columns decoded for output once a page has selected rows:
+    /// projected, grouped and aggregated ones.
+    body: Vec<usize>,
+    grouped: bool,
+}
+
+/// One chunk's columns as a scan reads them: dictionaries once per
+/// chunk, cells one page at a time.
+struct ChunkReader<'s> {
+    seg: &'s Segment,
+    chunk: usize,
+    dicts: Vec<Option<Vec<String>>>,
+    cells: Vec<Cells>,
+    /// The page `cells[c]` holds.
+    page_of: Vec<Option<usize>>,
+    buf: Vec<u8>,
+}
+
+impl<'s> ChunkReader<'s> {
+    fn new(seg: &'s Segment, chunk: usize) -> ChunkReader<'s> {
+        ChunkReader {
+            seg,
+            chunk,
+            dicts: vec![None; COLUMNS.len()],
+            cells: COLUMNS.iter().map(|(_, ty)| Cells::new(*ty)).collect(),
+            page_of: vec![None; COLUMNS.len()],
+            buf: Vec::new(),
+        }
+    }
+
+    fn dict(&mut self, col: usize) -> Result<&[String], String> {
+        if self.dicts[col].is_none() {
+            self.dicts[col] = Some(self.seg.dict(self.chunk, col)?);
+        }
+        Ok(self.dicts[col].as_deref().unwrap_or_default())
+    }
+
+    /// Decodes page `page` of column `col`, unless it holds it already.
+    fn load(&mut self, col: usize, page: usize) -> Result<(), String> {
+        if self.page_of[col] == Some(page) {
+            return Ok(());
+        }
+        let dict_len = match COLUMNS[col].1 {
+            ColumnType::Str => self.dict(col)?.len(),
+            _ => 0,
+        };
+        self.seg.read_page(
+            self.chunk,
+            col,
+            page,
+            dict_len,
+            &mut self.buf,
+            &mut self.cells[col],
+        )?;
+        self.page_of[col] = Some(page);
+        Ok(())
+    }
+
+    /// Row `r` of the loaded page of column `col`, as an output value.
+    fn value(&self, col: usize, r: usize) -> Value {
+        match &self.cells[col] {
+            Cells::Str(ids) => {
+                Value::Str(self.dicts[col].as_deref().unwrap_or_default()[ids[r] as usize].clone())
+            }
+            Cells::Int(v) if COLUMNS[col].1 == ColumnType::I64 => Value::I64(v[r] as i64),
+            Cells::Int(v) => Value::U64(v[r]),
+            Cells::F64(v) => Value::F64(v[r]),
+        }
+    }
+}
+
+/// One chunk's groups, keyed by tuples of dictionary indices and raw
+/// number bits; each group's states accumulate in row order.
+#[derive(Default)]
+struct ChunkGroups {
+    index: HashMap<Vec<u64>, u32>,
+    /// Group keys, by group number.
+    keys: Vec<Vec<u64>>,
+    /// Group-major: `aggs.len()` states per group.
+    states: Vec<AggState>,
+    /// Scratch: the selected rows' keys, row-major, and group numbers.
+    key_cells: Vec<u64>,
+    gids: Vec<u32>,
+}
+
+impl ChunkGroups {
+    /// Folds the selected rows `sel` of the loaded page into the groups,
+    /// one column at a time.
+    fn add(&mut self, q: &Query, rd: &ChunkReader, sel: &[u32]) {
+        let width = q.group_by.len();
+        self.key_cells.clear();
+        self.key_cells.resize(sel.len() * width, 0);
+        for (k, &c) in q.group_by.iter().enumerate() {
+            let slots = self.key_cells.iter_mut().skip(k).step_by(width.max(1));
+            match &rd.cells[c] {
+                Cells::Str(v) => slots
+                    .zip(sel)
+                    .for_each(|(s, &r)| *s = u64::from(v[r as usize])),
+                Cells::Int(v) => slots.zip(sel).for_each(|(s, &r)| *s = v[r as usize]),
+                Cells::F64(v) => slots
+                    .zip(sel)
+                    .for_each(|(s, &r)| *s = v[r as usize].to_bits()),
+            }
+        }
+        self.gids.clear();
+        for j in 0..sel.len() {
+            let key = &self.key_cells[j * width..(j + 1) * width];
+            // Rows of one run sit together, so a key often repeats the
+            // previous row's: reuse its group without hashing.
+            let gid = if j > 0 && key == &self.key_cells[(j - 1) * width..j * width] {
+                self.gids[j - 1]
+            } else if let Some(&g) = self.index.get(key) {
+                g
+            } else {
+                let g = self.keys.len() as u32;
+                self.index.insert(key.to_vec(), g);
+                self.keys.push(key.to_vec());
+                self.states
+                    .extend(q.aggs.iter().map(|a| AggState::new(a.func)));
+                g
+            };
+            self.gids.push(gid);
+        }
+        let na = q.aggs.len();
+        for (a, agg) in q.aggs.iter().enumerate() {
+            let state = |g: u32| g as usize * na + a;
+            match agg.col {
+                None => {
+                    for &g in &self.gids {
+                        self.states[state(g)].push(1.0);
+                    }
+                }
+                // String cells have no numeric view: nothing to count.
+                Some(c) if COLUMNS[c].1 == ColumnType::Str => {}
+                Some(c) => {
+                    let signed = COLUMNS[c].1 == ColumnType::I64;
+                    let cells = &rd.cells[c];
+                    for (&r, &g) in sel.iter().zip(&self.gids) {
+                        let x = num_at(cells, signed, r as usize);
+                        if !x.is_nan() || agg.func == AggFn::Count {
+                            self.states[state(g)].push(x);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The groups with their keys mapped back to strings and numbers —
+    /// once per group per chunk.
+    fn finish(self, q: &Query, rd: &ChunkReader) -> Vec<(Vec<Key>, Vec<AggState>)> {
+        let mut states = self.states.into_iter();
+        self.keys
+            .into_iter()
+            .map(|key| {
+                let key = key
+                    .iter()
+                    .zip(&q.group_by)
+                    .map(|(&bits, &c)| match COLUMNS[c].1 {
+                        ColumnType::Str => Key::Str(
+                            rd.dicts[c].as_deref().unwrap_or_default()[bits as usize].clone(),
+                        ),
+                        ColumnType::U64 => Key::U64(bits),
+                        ColumnType::I64 => Key::I64(bits as i64),
+                        ColumnType::F64 => Key::F64(TotalF64(f64::from_bits(bits))),
+                    })
+                    .collect();
+                (key, states.by_ref().take(q.aggs.len()).collect())
+            })
+            .collect()
     }
 }
 
@@ -522,101 +820,105 @@ impl AggState {
 /// rows otherwise. `None` from [`scan_chunk`] means the chunk was pruned
 /// or no row matched.
 struct ChunkScan {
-    groups: BTreeMap<Vec<Key>, Vec<AggState>>,
+    groups: Vec<(Vec<Key>, Vec<AggState>)>,
     rows: Vec<Vec<Value>>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scan_chunk(
-    seg: &Segment,
-    chunk_idx: usize,
-    q: &Query,
-    select: &[usize],
-    filter_cols: &[usize],
-    body_cols: &[usize],
-    grouped: bool,
-) -> Result<Option<ChunkScan>, String> {
-    // Chunk pruning: numeric zones from the footer, string equality
-    // against the chunk dictionary (header-only decode).
-    for f in &q.filters {
-        let meta = &seg.meta.chunks[chunk_idx].cols[f.col];
-        match (&f.literal, meta.zone) {
-            (Literal::Num(lit), Some(zone)) if !zone_admits(zone, f.op, *lit) => {
-                return Ok(None);
-            }
-            (Literal::Str(lit), _) if f.op == CmpOp::Eq => {
-                let bytes = seg.chunk_col_bytes(chunk_idx, f.col)?;
-                if !str_chunk_contains(bytes, lit)? {
+fn scan_chunk(seg: &Segment, chunk: usize, plan: &Plan) -> Result<Option<ChunkScan>, String> {
+    let meta = &seg.meta.chunks[chunk];
+    let mut rd = ChunkReader::new(seg, chunk);
+    // Chunk pruning: numeric zones from the footer, string literals
+    // against the chunk dictionary.
+    let mut needles: Vec<Option<u32>> = Vec::with_capacity(plan.preds.len());
+    for p in &plan.preds {
+        let mut needle = None;
+        match *p {
+            Pred::Never => return Ok(None),
+            Pred::Num { col, op, lit } => {
+                if zone_verdict(meta.cols[col].zone, op, lit, true) == Verdict::Skip {
                     return Ok(None);
                 }
             }
-            _ => {}
-        }
-    }
-
-    let n_rows = seg.meta.chunks[chunk_idx].rows;
-    let mut cols: Vec<Option<ColumnData>> = vec![None; COLUMNS.len()];
-    for &idx in filter_cols {
-        cols[idx] = Some(seg.read_chunk_column(chunk_idx, idx)?);
-    }
-    let mut sel: Vec<usize> = Vec::new();
-    'rows: for i in 0..n_rows {
-        for f in &q.filters {
-            let v = cols[f.col].as_ref().unwrap().value(i);
-            if !matches(&v, f.op, &f.literal) {
-                continue 'rows;
+            Pred::Str { col, ne, lit } => {
+                needle = rd
+                    .dict(col)?
+                    .iter()
+                    .position(|e| e == lit)
+                    .map(|i| i as u32);
+                if needle.is_none() && !ne {
+                    return Ok(None);
+                }
             }
         }
-        sel.push(i);
-    }
-    if sel.is_empty() {
-        return Ok(None);
-    }
-    // Projected/aggregated columns decode only for surviving chunks.
-    for &idx in body_cols {
-        if cols[idx].is_none() {
-            cols[idx] = Some(seg.read_chunk_column(chunk_idx, idx)?);
-        }
+        needles.push(needle);
     }
 
-    let mut out = ChunkScan {
-        groups: BTreeMap::new(),
-        rows: Vec::new(),
-    };
-    for &i in &sel {
-        if grouped {
-            let key: Vec<Key> = q
-                .group_by
-                .iter()
-                .map(|&c| key_of(&cols[c].as_ref().unwrap().value(i)))
-                .collect();
-            let states = out
-                .groups
-                .entry(key)
-                .or_insert_with(|| q.aggs.iter().map(|a| AggState::new(a.func)).collect());
-            for (a, agg) in q.aggs.iter().enumerate() {
-                match agg.col {
-                    None => states[a].push(1.0),
-                    Some(c) => {
-                        let v = cols[c].as_ref().unwrap().value(i);
-                        if let Some(x) = v.as_f64() {
-                            if !x.is_nan() || agg.func == AggFn::Count {
-                                states[a].push(x);
-                            }
+    let mut groups = ChunkGroups::default();
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut sel: Vec<u32> = Vec::new();
+    let npages = meta.cols[0].pages.len();
+    'pages: for page in 0..npages {
+        sel.clear();
+        sel.extend(0..seg.meta.page_range(meta.rows, page).len() as u32);
+        // Page pruning, then selection: each predicate the page entry
+        // cannot settle narrows the selection vector on its decoded
+        // column.
+        for (p, &needle) in plan.preds.iter().zip(&needles) {
+            match *p {
+                Pred::Num { col, op, lit } => {
+                    let ty = COLUMNS[col].1;
+                    let zone = meta.cols[col].pages[page].zone;
+                    match zone_verdict(zone, op, lit, ty == ColumnType::F64) {
+                        Verdict::Skip => continue 'pages,
+                        Verdict::All => {}
+                        Verdict::Test => {
+                            rd.load(col, page)?;
+                            refine_num(&mut sel, &rd.cells[col], ty == ColumnType::I64, op, lit);
                         }
                     }
                 }
+                Pred::Str { col, ne, .. } => {
+                    let present = meta.cols[col].pages[page].present.as_deref();
+                    match str_verdict(present, needle, ne) {
+                        Verdict::Skip => continue 'pages,
+                        Verdict::All => {}
+                        Verdict::Test => {
+                            rd.load(col, page)?;
+                            let (Cells::Str(ids), Some(id)) = (&rd.cells[col], needle) else {
+                                unreachable!("tested string predicates have a needle")
+                            };
+                            sel.retain(|&r| (ids[r as usize] == id) != ne);
+                        }
+                    }
+                }
+                Pred::Never => unreachable!("pruned with the chunk"),
             }
+            if sel.is_empty() {
+                continue 'pages;
+            }
+        }
+        // Output columns decode only for pages with selected rows.
+        for &col in &plan.body {
+            rd.load(col, page)?;
+        }
+        if plan.grouped {
+            groups.add(plan.q, &rd, &sel);
         } else {
-            out.rows.push(
-                select
+            rows.extend(sel.iter().map(|&r| {
+                plan.select
                     .iter()
-                    .map(|&c| cols[c].as_ref().unwrap().value(i))
-                    .collect(),
-            );
+                    .map(|&c| rd.value(c, r as usize))
+                    .collect()
+            }));
         }
     }
-    Ok(Some(out))
+    if groups.keys.is_empty() && rows.is_empty() {
+        return Ok(None);
+    }
+    Ok(Some(ChunkScan {
+        groups: groups.finish(plan.q, &rd),
+        rows,
+    }))
 }
 
 /// Runs `q` over every segment of `store`, scanning chunks on all cores.
@@ -639,22 +941,20 @@ pub fn run_query_with(
     } else {
         q.select.clone()
     };
-
-    // Split the needed columns into filter columns (decoded first, drive
-    // the selection) and body columns (decoded only when a row survives).
-    let mut filter_cols: Vec<usize> = Vec::new();
-    for f in &q.filters {
-        if !filter_cols.contains(&f.col) {
-            filter_cols.push(f.col);
-        }
-    }
-    let mut body_cols: Vec<usize> = Vec::new();
+    let mut body: Vec<usize> = Vec::new();
     let agg_cols = q.aggs.iter().filter_map(|a| a.col);
     for c in q.group_by.iter().chain(&select).copied().chain(agg_cols) {
-        if !filter_cols.contains(&c) && !body_cols.contains(&c) {
-            body_cols.push(c);
+        if !body.contains(&c) {
+            body.push(c);
         }
     }
+    let plan = Plan {
+        q,
+        preds: q.filters.iter().map(Pred::compile).collect(),
+        select,
+        body,
+        grouped,
+    };
 
     let segments = store.segments()?;
     // One work item per chunk; `segments()` sorts by name, so this order
@@ -664,20 +964,14 @@ pub fn run_query_with(
         .enumerate()
         .flat_map(|(s, seg)| (0..seg.meta.chunks.len()).map(move |c| (s, c)))
         .collect();
-    let scan = |&(s, c): &(usize, usize)| {
-        scan_chunk(
-            &segments[s],
-            c,
-            q,
-            &select,
-            &filter_cols,
-            &body_cols,
-            grouped,
-        )
-    };
+    let scan = |&(s, c): &(usize, usize)| scan_chunk(&segments[s], c, &plan);
 
     if !grouped {
-        let header: Vec<String> = select.iter().map(|&c| COLUMNS[c].0.to_string()).collect();
+        let header: Vec<String> = plan
+            .select
+            .iter()
+            .map(|&c| COLUMNS[c].0.to_string())
+            .collect();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         if let Some(limit) = q.limit {
             // Serial with early exit: the parallel scan would decode every

@@ -113,90 +113,52 @@ impl Row {
         }
     }
 
-    /// The inverse of per-column [`Row::get`]: rebuilds a row from one
-    /// [`Value`] per column, in [`COLUMNS`] order. Errors when a value's
-    /// type disagrees with the schema — decoded segment data can only
-    /// trip this if the file lied about its column types.
-    pub fn from_values(values: &[Value]) -> Result<Row, String> {
-        if values.len() != COLUMNS.len() {
-            return Err(format!(
-                "row has {} values, schema wants {}",
-                values.len(),
-                COLUMNS.len()
-            ));
-        }
-        let type_err = |idx: usize| {
-            format!(
-                "column {} ({:?}): value type does not match schema",
-                COLUMNS[idx].0, COLUMNS[idx].1
-            )
-        };
-        let s = |idx: usize| match &values[idx] {
-            Value::Str(v) => Ok(v.clone()),
-            _ => Err(type_err(idx)),
-        };
-        let u = |idx: usize| match values[idx] {
-            Value::U64(v) => Ok(v),
-            _ => Err(type_err(idx)),
-        };
-        let i = |idx: usize| match values[idx] {
-            Value::I64(v) => Ok(v),
-            _ => Err(type_err(idx)),
-        };
-        let f = |idx: usize| match values[idx] {
-            Value::F64(v) => Ok(v),
-            _ => Err(type_err(idx)),
-        };
-        Ok(Row {
-            campaign: s(0)?,
-            run: s(1)?,
-            kind: s(2)?,
-            strategy: s(3)?,
-            metric: s(4)?,
-            series: s(5)?,
-            config: s(6)?,
-            seed: u(7)?,
-            worker: i(8)?,
-            events: u(9)?,
-            remaining: u(10)?,
-            blocks: u(11)?,
-            tasks: u(12)?,
-            queue_depth: u(13)?,
-            t: f(14)?,
-            value: f(15)?,
-            sigma: f(16)?,
-            useful: f(17)?,
-            link_busy: f(18)?,
-            beta: f(19)?,
-        })
-    }
-
     /// The row's value in column `idx` (an index into [`COLUMNS`]).
     pub fn get(&self, idx: usize) -> Value {
+        match self.cell(idx) {
+            Cell::Str(s) => Value::Str(s.to_string()),
+            Cell::U64(v) => Value::U64(v),
+            Cell::I64(v) => Value::I64(v),
+            Cell::F64(v) => Value::F64(v),
+        }
+    }
+
+    /// The row's cell in column `idx`, borrowed: what the segment encoder
+    /// reads, so it copies no string per cell.
+    pub fn cell(&self, idx: usize) -> Cell<'_> {
         match idx {
-            0 => Value::Str(self.campaign.clone()),
-            1 => Value::Str(self.run.clone()),
-            2 => Value::Str(self.kind.clone()),
-            3 => Value::Str(self.strategy.clone()),
-            4 => Value::Str(self.metric.clone()),
-            5 => Value::Str(self.series.clone()),
-            6 => Value::Str(self.config.clone()),
-            7 => Value::U64(self.seed),
-            8 => Value::I64(self.worker),
-            9 => Value::U64(self.events),
-            10 => Value::U64(self.remaining),
-            11 => Value::U64(self.blocks),
-            12 => Value::U64(self.tasks),
-            13 => Value::U64(self.queue_depth),
-            14 => Value::F64(self.t),
-            15 => Value::F64(self.value),
-            16 => Value::F64(self.sigma),
-            17 => Value::F64(self.useful),
-            18 => Value::F64(self.link_busy),
-            19 => Value::F64(self.beta),
+            0 => Cell::Str(&self.campaign),
+            1 => Cell::Str(&self.run),
+            2 => Cell::Str(&self.kind),
+            3 => Cell::Str(&self.strategy),
+            4 => Cell::Str(&self.metric),
+            5 => Cell::Str(&self.series),
+            6 => Cell::Str(&self.config),
+            7 => Cell::U64(self.seed),
+            8 => Cell::I64(self.worker),
+            9 => Cell::U64(self.events),
+            10 => Cell::U64(self.remaining),
+            11 => Cell::U64(self.blocks),
+            12 => Cell::U64(self.tasks),
+            13 => Cell::U64(self.queue_depth),
+            14 => Cell::F64(self.t),
+            15 => Cell::F64(self.value),
+            16 => Cell::F64(self.sigma),
+            17 => Cell::F64(self.useful),
+            18 => Cell::F64(self.link_busy),
+            19 => Cell::F64(self.beta),
             other => panic!("column index {other} out of range"),
         }
     }
+}
+
+/// A borrowed cell of a [`Row`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Cell<'a> {
+    Str(&'a str),
+    U64(u64),
+    I64(i64),
+    F64(f64),
 }
 
 /// One cell, as the query engine and the ingest layer see it.
@@ -222,23 +184,40 @@ impl Value {
     /// CSV cell rendering: strings verbatim, floats via Rust's
     /// shortest-round-trip `Display` (deterministic, parses back exactly).
     pub fn render_csv(&self) -> String {
-        match self {
-            Value::Str(s) => s.clone(),
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) => v.to_string(),
-        }
+        let mut out = String::new();
+        self.write_csv(&mut out);
+        out
+    }
+
+    /// [`Value::render_csv`], appended to `out`.
+    pub fn write_csv(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = match self {
+            Value::Str(s) => out.write_str(s),
+            Value::U64(v) => write!(out, "{v}"),
+            Value::I64(v) => write!(out, "{v}"),
+            Value::F64(v) => write!(out, "{v}"),
+        };
     }
 
     /// JSON fragment rendering: strings escaped and quoted, non-finite
     /// floats as `null` (matching the trace sinks' `num` convention).
     pub fn render_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// [`Value::render_json`], appended to `out`.
+    pub fn write_json(&self, out: &mut String) {
         match self {
-            Value::Str(s) => format!("\"{}\"", hetsched_core::provenance::json_escape(s)),
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) if v.is_finite() => v.to_string(),
-            Value::F64(_) => "null".to_string(),
+            Value::Str(s) => {
+                out.push('"');
+                out.push_str(&hetsched_core::provenance::json_escape(s));
+                out.push('"');
+            }
+            Value::F64(v) if !v.is_finite() => out.push_str("null"),
+            other => other.write_csv(out),
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The store directory: a flat set of immutable segment files.
 //!
 //! A store is just a directory of `seg-<hash>.hsc` files. Segment names
-//! are content-addressed (FNV-1a over the encoded bytes), so re-ingesting
+//! are content-addressed (FNV-1a over the segment's version-1 encoding,
+//! see [`crate::segment::Encoded`]), so re-ingesting
 //! identical data rewrites the same file — idempotent by construction —
 //! and two daemon workers committing concurrently can never clobber each
 //! other's distinct batches. Writes go through a temp file + rename so a
@@ -15,7 +16,9 @@
 //! [`Store::compact`] safe — merging small segments into one rewrites the
 //! same rows under a new content-addressed name, run keys preserved, so
 //! replay dedupe and queries see the store unchanged while the file count
-//! drops to ⌈rows / 64Ki⌉-scale.
+//! drops to ⌈rows / 64Ki⌉-scale. Compaction never builds a `Row`: it
+//! decodes the small segments' columns as typed vectors, merges their
+//! string dictionaries, and re-encodes.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io;
@@ -23,12 +26,19 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::schema::Row;
-use crate::segment::{encode_segment, Segment, SegmentMeta, CHUNK_ROWS};
+use crate::segment::{encode_segment, Columns, Encoded, Segment, SegmentMeta, CHUNK_ROWS};
 
 /// 64-bit FNV-1a — the store's only hash. Used for segment names and for
 /// config hashes (see [`crate::ingest::config_hash`]).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+/// The FNV-1a offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+pub(crate) fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -173,7 +183,7 @@ impl Store {
     pub fn batch(&self) -> IngestBatch<'_> {
         IngestBatch {
             store: self,
-            rows: Vec::new(),
+            cols: Columns::default(),
         }
     }
 
@@ -185,7 +195,8 @@ impl Store {
     ///
     /// Rows are concatenated in segment-name/chunk/row order and run keys
     /// unioned, so queries and replay dedupe see identical data before
-    /// and after. The merged segment is written (content-addressed, temp
+    /// and after; the merged file's bytes are exactly those of encoding
+    /// the concatenated rows as one batch. The merged segment is written (content-addressed, temp
     /// file + rename) *before* the old segments are removed: a crash at
     /// any point leaves either the old segments plus an ignorable temp
     /// file, or the merged segment plus some not-yet-removed old ones —
@@ -218,7 +229,7 @@ impl Store {
             return Ok(report);
         }
 
-        let mut rows: Vec<Row> = Vec::new();
+        let mut cols = Columns::default();
         let mut keys: BTreeSet<String> = BTreeSet::new();
         for p in &small {
             let Some(seg) = Segment::open_if_present(p)? else {
@@ -228,10 +239,10 @@ impl Store {
                 return Ok(report);
             };
             keys.extend(seg.meta.run_keys.iter().cloned());
-            rows.append(&mut seg.rows()?);
+            cols.append_segment(&seg)?;
         }
         let keys: Vec<String> = keys.into_iter().collect();
-        let merged = write_segment(&self.dir, &encode_segment(&rows, &keys))?;
+        let merged = write_segment(&self.dir, &encode_segment(&cols, &keys))?;
         for p in &small {
             if **p == merged {
                 continue;
@@ -246,7 +257,7 @@ impl Store {
             }
         }
         report.merged = small.len();
-        report.rows = rows.len();
+        report.rows = cols.len();
         report.segments_after = self
             .segment_paths()
             .map_err(|e| format!("cannot list store {}: {e}", self.dir.display()))?
@@ -297,11 +308,12 @@ impl Store {
     }
 }
 
-/// Writes encoded segment bytes under their content-addressed name via a
+/// Writes an encoded segment under its content-addressed name via a
 /// temp file + atomic rename; returns the final path. Shared by ingest
 /// commits and compaction.
-fn write_segment(dir: &Path, bytes: &[u8]) -> Result<PathBuf, String> {
-    let name = format!("seg-{:016x}.hsc", fnv1a64(bytes));
+fn write_segment(dir: &Path, seg: &Encoded) -> Result<PathBuf, String> {
+    let bytes = &seg.bytes;
+    let name = format!("seg-{:016x}.hsc", seg.hash);
     let final_path = dir.join(&name);
     let tmp_path = dir.join(format!(".tmp-{name}-{}", std::process::id()));
     std::fs::write(&tmp_path, bytes)
@@ -311,45 +323,41 @@ fn write_segment(dir: &Path, bytes: &[u8]) -> Result<PathBuf, String> {
     Ok(final_path)
 }
 
-/// Rows accumulated for one segment. Run keys are derived from the rows'
-/// own `(campaign, run, config)` columns at commit time, so a batch can
-/// never claim a run it holds no rows for.
+/// Rows accumulated for one segment, held column-major. Run keys are
+/// derived from the rows' own `(campaign, run, config)` columns at commit
+/// time, so a batch can never claim a run it holds no rows for.
 pub struct IngestBatch<'a> {
     store: &'a Store,
-    rows: Vec<Row>,
+    cols: Columns,
 }
 
 impl IngestBatch<'_> {
     pub fn push(&mut self, row: Row) {
-        self.rows.push(row);
+        self.cols.push_row(&row);
     }
 
     pub fn push_all(&mut self, rows: impl IntoIterator<Item = Row>) {
-        self.rows.extend(rows);
+        for row in rows {
+            self.cols.push_row(&row);
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cols.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.cols.is_empty()
     }
 
     /// Writes the batch as one segment; returns its path, or `None` for
     /// an empty batch (nothing is written).
     pub fn commit(self) -> Result<Option<PathBuf>, String> {
-        if self.rows.is_empty() {
+        if self.cols.is_empty() {
             return Ok(None);
         }
-        let keys: BTreeSet<String> = self
-            .rows
-            .iter()
-            .map(|r| run_key(&r.campaign, &r.run, &r.config))
-            .collect();
-        let keys: Vec<String> = keys.into_iter().collect();
-        let bytes = encode_segment(&self.rows, &keys);
-        write_segment(&self.store.dir, &bytes).map(Some)
+        let seg = encode_segment(&self.cols, &self.cols.run_keys());
+        write_segment(&self.store.dir, &seg).map(Some)
     }
 }
 
