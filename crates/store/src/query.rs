@@ -714,11 +714,19 @@ impl<'s> ChunkReader<'s> {
     }
 }
 
+/// Slots of [`ChunkGroups`]' key cache.
+const CACHE_SLOTS: usize = 1024;
+
 /// One chunk's groups, keyed by tuples of dictionary indices and raw
 /// number bits; each group's states accumulate in row order.
 #[derive(Default)]
 struct ChunkGroups {
     index: HashMap<Vec<u64>, u32>,
+    /// A direct-mapped cache in front of `index`: per slot (a cheap hash
+    /// of the key) a group number + 1, or 0. Hits are checked against
+    /// `keys`, so a collision costs a lookup in `index`, never a wrong
+    /// group.
+    cache: Vec<u32>,
     /// Group keys, by group number.
     keys: Vec<Vec<u64>>,
     /// Group-major: `aggs.len()` states per group.
@@ -748,20 +756,30 @@ impl ChunkGroups {
             }
         }
         self.gids.clear();
+        self.cache.resize(CACHE_SLOTS, 0);
         for j in 0..sel.len() {
             let key = &self.key_cells[j * width..(j + 1) * width];
-            // Rows of one run sit together, so a key often repeats the
-            // previous row's: reuse its group without hashing.
-            let gid = if j > 0 && key == &self.key_cells[(j - 1) * width..j * width] {
-                self.gids[j - 1]
-            } else if let Some(&g) = self.index.get(key) {
-                g
+            let slot = key
+                .iter()
+                .fold(0u64, |h, &w| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                as usize
+                % CACHE_SLOTS;
+            let cached = self.cache[slot];
+            let gid = if cached != 0 && self.keys[cached as usize - 1] == key {
+                cached - 1
             } else {
-                let g = self.keys.len() as u32;
-                self.index.insert(key.to_vec(), g);
-                self.keys.push(key.to_vec());
-                self.states
-                    .extend(q.aggs.iter().map(|a| AggState::new(a.func)));
+                let g = match self.index.get(key) {
+                    Some(&g) => g,
+                    None => {
+                        let g = self.keys.len() as u32;
+                        self.index.insert(key.to_vec(), g);
+                        self.keys.push(key.to_vec());
+                        self.states
+                            .extend(q.aggs.iter().map(|a| AggState::new(a.func)));
+                        g
+                    }
+                };
+                self.cache[slot] = g + 1;
                 g
             };
             self.gids.push(gid);

@@ -160,14 +160,6 @@ impl Default for Columns {
 }
 
 impl Columns {
-    pub fn from_rows<'r>(rows: impl IntoIterator<Item = &'r Row>) -> Columns {
-        let mut cols = Columns::default();
-        for row in rows {
-            cols.push_row(row);
-        }
-        cols
-    }
-
     pub fn len(&self) -> usize {
         self.rows
     }
@@ -454,7 +446,7 @@ impl Segment {
 
     /// The error for a corrupt column stream, naming file, chunk and
     /// column.
-    pub fn corrupt(&self, chunk: usize, col: usize, msg: &str) -> String {
+    fn corrupt(&self, chunk: usize, col: usize, msg: &str) -> String {
         format!(
             "corrupt segment {}: chunk {chunk} column {}: {msg}",
             self.path.display(),
@@ -464,7 +456,7 @@ impl Segment {
 
     /// Reads `range` of column `col`'s stream in chunk `chunk` into `buf`.
     /// The footer parser has checked that every stream lies in the file.
-    pub fn read(
+    fn read(
         &self,
         chunk: usize,
         col: usize,
@@ -830,8 +822,14 @@ mod tests {
             .collect()
     }
 
+    fn columns(rows: &[Row]) -> Columns {
+        let mut cols = Columns::default();
+        rows.iter().for_each(|r| cols.push_row(r));
+        cols
+    }
+
     fn encode(rows: &[Row], keys: &[String]) -> Vec<u8> {
-        encode_segment(&Columns::from_rows(rows), keys).bytes
+        encode_segment(&columns(rows), keys).bytes
     }
 
     fn write_tmp(tag: &str, bytes: &[u8]) -> PathBuf {
@@ -867,7 +865,7 @@ mod tests {
     fn segment_round_trips_rows_and_keys() {
         let rows = sample_rows(100);
         let keys = vec!["camp\u{1f}run-1\u{1f}deadbeefdeadbeef".to_string()];
-        assert_eq!(Columns::from_rows(&rows).run_keys(), keys);
+        assert_eq!(columns(&rows).run_keys(), keys);
         let path = write_tmp("round", &encode(&rows, &keys));
         let seg = Segment::open(&path).unwrap();
         assert_eq!(seg.meta.version, 2);
@@ -1052,7 +1050,7 @@ mod tests {
     #[test]
     fn corrupt_counts_and_truncations_are_errors_never_panics() {
         let rows = sample_rows(5);
-        let cols = Columns::from_rows(&rows);
+        let cols = columns(&rows);
         let bytes = encode_segment(&cols, &cols.run_keys()).bytes;
         let dir = std::env::temp_dir().join(format!("hsc-seg-corrupt-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
