@@ -16,15 +16,15 @@
 //! * **F64** — row count, then raw little-endian IEEE bits per value.
 //!   Floats round-trip *exactly*, which the golden round-trip test pins.
 //!
-//! **Pages.** A stream is cut into pages of [`PAGE_ROWS`] rows. Nothing
+//! **Pages.** A stream is cut into pages of `PAGE_ROWS` (4096) rows. Nothing
 //! inside the stream marks them; the segment footer keeps one
-//! [`PageMeta`] per page: the byte offset of the page's first value, the
+//! `PageMeta` per page: the byte offset of the page's first value, the
 //! delta base a decoder needs to start there (the previous row's value
 //! or dictionary index), a min/max zone for numeric columns (NaN
 //! excluded) and a dictionary-presence bitset for strings. A page thus
 //! decodes on its own, and a scan can skip it from the footer alone.
 //!
-//! **Cells.** Decoding yields [`Cells`]: dictionary indices for strings,
+//! **Cells.** Decoding yields `Cells`: dictionary indices for strings,
 //! never the strings themselves, so a scan tests string predicates and
 //! builds group keys without materialising a `String` per row. Every
 //! count read from a stream is checked against the bytes that remain
@@ -35,11 +35,11 @@ use crate::schema::ColumnType;
 use crate::varint::{get_varint, put_varint, unzigzag, zigzag};
 
 /// Rows per page: the unit of page-level pruning and of a scan's reads.
-pub const PAGE_ROWS: usize = 4096;
+pub(crate) const PAGE_ROWS: usize = 4096;
 
 /// Decoded cells of one column over a run of rows.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Cells {
+pub(crate) enum Cells {
     /// Indices into the chunk's (or batch's) dictionary.
     Str(Vec<u32>),
     /// `U64` values, or `I64` values as their two's-complement bits.
@@ -56,18 +56,6 @@ impl Cells {
         }
     }
 
-    pub fn len(&self) -> usize {
-        match self {
-            Cells::Str(v) => v.len(),
-            Cells::Int(v) => v.len(),
-            Cells::F64(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn clear(&mut self) {
         match self {
             Cells::Str(v) => v.clear(),
@@ -79,7 +67,7 @@ impl Cells {
 
 /// Footer entry of one page of a column stream.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PageMeta {
+pub(crate) struct PageMeta {
     /// Byte offset of the page's first value within the column stream.
     pub offset: usize,
     /// Delta base: the previous row's value bits (integers) or
@@ -113,7 +101,7 @@ pub fn zone_of(values: impl Iterator<Item = f64>) -> Option<(f64, f64)> {
 }
 
 /// Whether dictionary index `id` is set in a page's presence bitset.
-pub fn bit(bits: &[u8], id: u32) -> bool {
+pub(crate) fn bit(bits: &[u8], id: u32) -> bool {
     bits.get(id as usize / 8)
         .is_some_and(|b| b & (1 << (id % 8)) != 0)
 }
@@ -123,7 +111,7 @@ pub fn bit(bits: &[u8], id: u32) -> bool {
 /// chunk-local, in first-appearance order, so equal strings encode to
 /// equal bytes whatever `dict` holds. `local` is scratch the caller
 /// keeps across chunks (all `u32::MAX` between calls).
-pub fn encode_str(
+pub(crate) fn encode_str(
     ids: &[u32],
     dict: &[String],
     local: &mut Vec<u32>,
@@ -163,7 +151,7 @@ pub fn encode_str(
 
 /// Appends one integer chunk stream (`U64`, or `I64` bits when `signed`)
 /// to `out`, and returns its page entries.
-pub fn encode_int(values: &[u64], signed: bool, out: &mut Vec<u8>) -> Vec<PageMeta> {
+pub(crate) fn encode_int(values: &[u64], signed: bool, out: &mut Vec<u8>) -> Vec<PageMeta> {
     let start = out.len();
     put_varint(out, values.len() as u64);
     put_delta_pages(values, start, out, |page| {
@@ -177,7 +165,7 @@ pub fn encode_int(values: &[u64], signed: bool, out: &mut Vec<u8>) -> Vec<PageMe
 }
 
 /// Appends one float chunk stream to `out`, and returns its page entries.
-pub fn encode_f64(values: &[f64], out: &mut Vec<u8>) -> Vec<PageMeta> {
+pub(crate) fn encode_f64(values: &[f64], out: &mut Vec<u8>) -> Vec<PageMeta> {
     let start = out.len();
     put_varint(out, values.len() as u64);
     values
@@ -241,7 +229,7 @@ fn get_count(buf: &[u8], pos: &mut usize, min_bytes: usize, what: &str) -> Resul
 /// Parses the head of a string stream: its dictionary (borrowed from
 /// `buf`), its row count, and the byte position of the first index. The
 /// row count is returned unchecked; callers compare it with the footer.
-pub fn str_header(buf: &[u8]) -> Result<(Vec<&str>, u64, usize), String> {
+pub(crate) fn str_header(buf: &[u8]) -> Result<(Vec<&str>, u64, usize), String> {
     let mut pos = 0;
     let n = get_count(buf, &mut pos, 1, "dictionary size")?;
     let mut dict = Vec::with_capacity(n);
@@ -259,7 +247,7 @@ pub fn str_header(buf: &[u8]) -> Result<(Vec<&str>, u64, usize), String> {
 
 /// Parses the head of a numeric stream: its (unchecked) row count and
 /// the byte position of the first value.
-pub fn num_header(buf: &[u8]) -> Result<(u64, usize), String> {
+pub(crate) fn num_header(buf: &[u8]) -> Result<(u64, usize), String> {
     let mut pos = 0;
     let rows = get_varint(buf, &mut pos)?;
     Ok((rows, pos))
@@ -268,7 +256,7 @@ pub fn num_header(buf: &[u8]) -> Result<(u64, usize), String> {
 /// Decodes `n` cells from `buf` (a page's bytes, or a stream's body),
 /// continuing from delta base `base`, and appends them to `out`. String
 /// indices must fall below `dict_len`.
-pub fn decode_cells(
+pub(crate) fn decode_cells(
     buf: &[u8],
     n: usize,
     base: u64,
@@ -320,7 +308,7 @@ pub fn decode_cells(
 /// Decodes a whole chunk stream of type `ty` that the footer says holds
 /// `rows` rows: appends its cells to `out` and returns its dictionary
 /// (empty for numeric columns).
-pub fn decode_stream<'a>(
+pub(crate) fn decode_stream<'a>(
     buf: &'a [u8],
     ty: ColumnType,
     rows: usize,

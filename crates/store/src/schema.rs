@@ -125,7 +125,7 @@ impl Row {
 
     /// The row's cell in column `idx`, borrowed: what the segment encoder
     /// reads, so it copies no string per cell.
-    pub fn cell(&self, idx: usize) -> Cell<'_> {
+    pub(crate) fn cell(&self, idx: usize) -> Cell<'_> {
         match idx {
             0 => Cell::Str(&self.campaign),
             1 => Cell::Str(&self.run),
@@ -154,7 +154,7 @@ impl Row {
 
 /// A borrowed cell of a [`Row`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Cell<'a> {
+pub(crate) enum Cell<'a> {
     Str(&'a str),
     U64(u64),
     I64(i64),
@@ -190,7 +190,7 @@ impl Value {
     }
 
     /// [`Value::render_csv`], appended to `out`.
-    pub fn write_csv(&self, out: &mut String) {
+    pub(crate) fn write_csv(&self, out: &mut String) {
         use std::fmt::Write;
         let _ = match self {
             Value::Str(s) => out.write_str(s),
@@ -209,7 +209,7 @@ impl Value {
     }
 
     /// [`Value::render_json`], appended to `out`.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Value::Str(s) => {
                 out.push('"');

@@ -88,7 +88,7 @@ pub struct ChunkColMeta {
     /// One entry per page. Empty in a version-1 footer read on its own
     /// ([`Segment::read_meta`]); [`Segment::open`] gives such a chunk a
     /// single page.
-    pub pages: Vec<PageMeta>,
+    pub(crate) pages: Vec<PageMeta>,
 }
 
 /// Per-chunk footer entry.
@@ -104,7 +104,7 @@ pub struct SegmentMeta {
     /// Footer version: 1 (no page entries) or 2.
     pub version: u64,
     /// Rows per page ([`CHUNK_ROWS`] for version 1: one page per chunk).
-    pub page_rows: usize,
+    pub(crate) page_rows: usize,
     pub chunks: Vec<ChunkMeta>,
     /// `campaign \u{1f} run \u{1f} config` strings, one per ingested run.
     pub run_keys: Vec<String>,
@@ -113,7 +113,7 @@ pub struct SegmentMeta {
 
 impl SegmentMeta {
     /// Row range of page `page` within a chunk of `rows` rows.
-    pub fn page_range(&self, rows: usize, page: usize) -> Range<usize> {
+    pub(crate) fn page_range(&self, rows: usize, page: usize) -> Range<usize> {
         let start = page * self.page_rows;
         start..(start + self.page_rows).min(rows)
     }
@@ -142,7 +142,7 @@ impl Dict {
 /// Rows held column-major: what a segment is encoded from. Each string
 /// column keeps one batch dictionary and a `u32` index per row, so
 /// neither ingest nor compaction copies a string per cell.
-pub struct Columns {
+pub(crate) struct Columns {
     rows: usize,
     cells: Vec<Cells>,
     /// One per column; empty for numeric columns.
@@ -226,7 +226,7 @@ impl Columns {
 }
 
 /// A segment's file bytes and its content address.
-pub struct Encoded {
+pub(crate) struct Encoded {
     pub bytes: Vec<u8>,
     /// FNV-1a over the segment's version-1 encoding: the same column
     /// streams under a footer without the version mark and page entries.
@@ -238,7 +238,7 @@ pub struct Encoded {
 }
 
 /// Encodes `cols` (plus the batch's run keys) as a segment.
-pub fn encode_segment(cols: &Columns, run_keys: &[String]) -> Encoded {
+pub(crate) fn encode_segment(cols: &Columns, run_keys: &[String]) -> Encoded {
     let mut out = MAGIC_HEAD.to_vec();
     let mut chunks = Vec::new();
     let mut local = Vec::new();
@@ -478,7 +478,7 @@ impl Segment {
 
     /// The dictionary of string column `col` in chunk `chunk`: the stream
     /// bytes before its first page.
-    pub fn dict(&self, chunk: usize, col: usize) -> Result<Vec<String>, String> {
+    pub(crate) fn dict(&self, chunk: usize, col: usize) -> Result<Vec<String>, String> {
         let meta = &self.meta.chunks[chunk];
         let Some(first) = meta.cols[col].pages.first() else {
             return Ok(Vec::new());
@@ -495,7 +495,7 @@ impl Segment {
     /// Decodes page `page` of column `col` in chunk `chunk` into `out`,
     /// replacing its contents. `dict_len` bounds string indices. `buf` is
     /// read scratch.
-    pub fn read_page(
+    pub(crate) fn read_page(
         &self,
         chunk: usize,
         col: usize,
@@ -874,7 +874,12 @@ mod tests {
         assert_eq!(seg.meta.run_keys, keys);
         for col in 0..COLUMNS.len() {
             let (dict, cells) = column(&seg, 0, col);
-            assert_eq!(cells.len(), 100);
+            let n = match &cells {
+                Cells::Str(v) => v.len(),
+                Cells::Int(v) => v.len(),
+                Cells::F64(v) => v.len(),
+            };
+            assert_eq!(n, 100, "col {col}");
             for (i, row) in rows.iter().enumerate() {
                 match (row.cell(col), &cells) {
                     (Cell::Str(s), Cells::Str(ids)) => assert_eq!(dict[ids[i] as usize], s),

@@ -2,7 +2,7 @@
 //!
 //! A store is just a directory of `seg-<hash>.hsc` files. Segment names
 //! are content-addressed (FNV-1a over the segment's version-1 encoding,
-//! see [`crate::segment::Encoded`]), so re-ingesting
+//! see `segment::Encoded`), so re-ingesting
 //! identical data rewrites the same file — idempotent by construction —
 //! and two daemon workers committing concurrently can never clobber each
 //! other's distinct batches. Writes go through a temp file + rename so a
