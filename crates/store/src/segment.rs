@@ -39,8 +39,9 @@
 //! whole file and reads each chunk as a single page, so they get
 //! chunk-level pruning only. A version-2 segment over 1 MiB is read
 //! lazily: opening reads the footer, and a scan reads only the
-//! dictionaries and pages it needs, with positioned reads on the open
-//! file. Smaller segments are read whole on open, so a store of
+//! dictionaries and pages it needs, with positioned reads (Unix `pread`,
+//! so scan threads share one handle) on the open file. Smaller segments
+//! are read whole on open, so a store of
 //! thousands of them holds no file handles during a scan.
 //!
 //! Every count in a footer is checked against the bytes that remain,
