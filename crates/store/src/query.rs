@@ -1157,6 +1157,51 @@ mod tests {
     }
 
     #[test]
+    fn zone_verdicts_skip_admit_or_test() {
+        let int = |op, lit| zone_verdict(Some((2.0, 5.0)), op, lit, false);
+        assert_eq!(int(CmpOp::Lt, 9.0), Verdict::All);
+        assert_eq!(int(CmpOp::Lt, 4.0), Verdict::Test);
+        assert_eq!(int(CmpOp::Lt, 2.0), Verdict::Skip);
+        assert_eq!(int(CmpOp::Ge, 2.0), Verdict::All);
+        assert_eq!(int(CmpOp::Ne, 6.0), Verdict::All);
+        assert_eq!(int(CmpOp::Ne, 3.0), Verdict::Test);
+        assert_eq!(
+            zone_verdict(Some((4.0, 4.0)), CmpOp::Eq, 4.0, false),
+            Verdict::All
+        );
+        // A float zone may hide NaN rows, which match nothing.
+        assert_eq!(
+            zone_verdict(Some((2.0, 5.0)), CmpOp::Lt, 9.0, true),
+            Verdict::Test
+        );
+        // An all-NaN page has no zone.
+        assert_eq!(zone_verdict(None, CmpOp::Ne, 1.0, true), Verdict::Skip);
+    }
+
+    #[test]
+    fn string_verdicts_read_the_presence_bitset() {
+        let (only_1, with_9) = ([0b10u8], [0b10u8, 0b10]);
+        for (bits, needle, ne, want) in [
+            (&only_1[..], 1, false, Verdict::All),
+            (&only_1[..], 1, true, Verdict::Skip),
+            (&only_1[..], 3, false, Verdict::Skip),
+            (&only_1[..], 3, true, Verdict::All),
+            (&with_9[..], 1, false, Verdict::Test),
+            (&with_9[..], 9, true, Verdict::Test),
+        ] {
+            assert_eq!(
+                str_verdict(Some(bits), Some(needle), ne),
+                want,
+                "{needle} {ne}"
+            );
+        }
+        assert_eq!(str_verdict(None, Some(1), false), Verdict::Test);
+        // A literal missing from the chunk dictionary.
+        assert_eq!(str_verdict(Some(&only_1), None, false), Verdict::Skip);
+        assert_eq!(str_verdict(Some(&only_1), None, true), Verdict::All);
+    }
+
+    #[test]
     fn agg_parse_both_syntaxes() {
         let aggs = parse_aggs("count,mean(value),p95:t,max(beta)").unwrap();
         assert_eq!(aggs.len(), 4);
