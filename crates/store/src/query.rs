@@ -658,7 +658,6 @@ struct ChunkReader<'s> {
     cells: Vec<Cells>,
     /// The page `cells[c]` holds.
     page_of: Vec<Option<usize>>,
-    buf: Vec<u8>,
 }
 
 impl<'s> ChunkReader<'s> {
@@ -669,7 +668,6 @@ impl<'s> ChunkReader<'s> {
             dicts: vec![None; COLUMNS.len()],
             cells: COLUMNS.iter().map(|(_, ty)| Cells::new(*ty)).collect(),
             page_of: vec![None; COLUMNS.len()],
-            buf: Vec::new(),
         }
     }
 
@@ -689,14 +687,8 @@ impl<'s> ChunkReader<'s> {
             ColumnType::Str => self.dict(col)?.len(),
             _ => 0,
         };
-        self.seg.read_page(
-            self.chunk,
-            col,
-            page,
-            dict_len,
-            &mut self.buf,
-            &mut self.cells[col],
-        )?;
+        self.seg
+            .read_page(self.chunk, col, page, dict_len, &mut self.cells[col])?;
         self.page_of[col] = Some(page);
         Ok(())
     }
@@ -714,19 +706,11 @@ impl<'s> ChunkReader<'s> {
     }
 }
 
-/// Slots of [`ChunkGroups`]' key cache.
-const CACHE_SLOTS: usize = 1024;
-
 /// One chunk's groups, keyed by tuples of dictionary indices and raw
 /// number bits; each group's states accumulate in row order.
 #[derive(Default)]
 struct ChunkGroups {
     index: HashMap<Vec<u64>, u32>,
-    /// A direct-mapped cache in front of `index`: per slot (a cheap hash
-    /// of the key) a group number + 1, or 0. Hits are checked against
-    /// `keys`, so a collision costs a lookup in `index`, never a wrong
-    /// group.
-    cache: Vec<u32>,
     /// Group keys, by group number.
     keys: Vec<Vec<u64>>,
     /// Group-major: `aggs.len()` states per group.
@@ -756,31 +740,18 @@ impl ChunkGroups {
             }
         }
         self.gids.clear();
-        self.cache.resize(CACHE_SLOTS, 0);
         for j in 0..sel.len() {
             let key = &self.key_cells[j * width..(j + 1) * width];
-            let slot = key
-                .iter()
-                .fold(0u64, |h, &w| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                as usize
-                % CACHE_SLOTS;
-            let cached = self.cache[slot];
-            let gid = if cached != 0 && self.keys[cached as usize - 1] == key {
-                cached - 1
-            } else {
-                let g = match self.index.get(key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = self.keys.len() as u32;
-                        self.index.insert(key.to_vec(), g);
-                        self.keys.push(key.to_vec());
-                        self.states
-                            .extend(q.aggs.iter().map(|a| AggState::new(a.func)));
-                        g
-                    }
-                };
-                self.cache[slot] = g + 1;
-                g
+            let gid = match self.index.get(key) {
+                Some(&g) => g,
+                None => {
+                    let g = self.keys.len() as u32;
+                    self.index.insert(key.to_vec(), g);
+                    self.keys.push(key.to_vec());
+                    self.states
+                        .extend(q.aggs.iter().map(|a| AggState::new(a.func)));
+                    g
+                }
             };
             self.gids.push(gid);
         }

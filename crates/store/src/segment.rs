@@ -35,14 +35,10 @@
 //! The column index is validated against the compiled-in schema on
 //! open; the run keys serve ingest dedupe without scanning rows. A
 //! version-1 footer is the same without the version mark, the page size
-//! and the page entries. Such segments still open: the reader loads the
-//! whole file and reads each chunk as a single page, so they get
-//! chunk-level pruning only. A version-2 segment over 1 MiB is read
-//! lazily: opening reads the footer, and a scan reads only the
-//! dictionaries and pages it needs, with positioned reads (Unix `pread`,
-//! so scan threads share one handle) on the open file. Smaller segments
-//! are read whole on open, so a store of
-//! thousands of them holds no file handles during a scan.
+//! and the page entries. A segment is read whole on open; a scan then
+//! decodes only the dictionaries and pages it needs out of those bytes.
+//! Version-1 segments still open: each chunk reads as a single page, so
+//! they get chunk-level pruning only.
 //!
 //! Every count in a footer is checked against the bytes that remain,
 //! every byte range against the file, and every chunk's rows against
@@ -51,9 +47,8 @@
 //! panic.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::fs::File;
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::ops::Range;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::column::{
@@ -73,10 +68,6 @@ const MAGIC_TAIL: &[u8; 4] = b"HSCF";
 /// Trailing length + magic.
 const TRAILER: usize = 12;
 const FOOTER_VERSION: u64 = 2;
-/// Segments up to this size are read whole on open and keep no file
-/// handle, so a query over thousands of small segments (one per serve
-/// job) holds no file open; larger ones are read page by page.
-const WHOLE_READ_BYTES: u64 = 1 << 20;
 
 /// Byte range, zone map and pages of one column within one chunk.
 #[derive(Clone, Debug)]
@@ -185,12 +176,11 @@ impl Columns {
     /// Appends every row of `seg`, in chunk/row order, decoding each
     /// column as a typed vector: no `Row` is built.
     pub fn append_segment(&mut self, seg: &Segment) -> Result<(), String> {
-        let mut buf = Vec::new();
         let mut remap: Vec<u32> = Vec::new();
         for (c, chunk) in seg.meta.chunks.iter().enumerate() {
             for (col, (cells, dict)) in self.cells.iter_mut().zip(&mut self.dicts).enumerate() {
-                seg.read(c, col, 0..chunk.cols[col].len, &mut buf)?;
-                let chunk_dict = decode_stream(&buf, COLUMNS[col].1, chunk.rows, cells)
+                let stream = seg.stream(c, col, 0..chunk.cols[col].len);
+                let chunk_dict = decode_stream(stream, COLUMNS[col].1, chunk.rows, cells)
                     .map_err(|e| seg.corrupt(c, col, &e))?;
                 if let Cells::Str(ids) = cells {
                     remap.clear();
@@ -357,18 +347,10 @@ fn put_zone(out: &mut Vec<u8>, zone: Option<(f64, f64)>) {
     }
 }
 
-/// Where a segment's bytes come from: the open file (large version-2
-/// segments, read page by page) or memory (small or version-1 segments,
-/// read whole on open).
-enum Source {
-    File(File),
-    Bytes(Vec<u8>),
-}
-
-/// An open segment: its parsed footer plus a handle on its bytes. Chunk
-/// columns are read and decoded on demand.
+/// An open segment: its parsed footer plus its bytes, read whole on
+/// open. Chunk columns are decoded on demand.
 pub struct Segment {
-    src: Source,
+    data: Vec<u8>,
     pub meta: SegmentMeta,
     pub path: PathBuf,
 }
@@ -382,13 +364,9 @@ impl std::fmt::Debug for Segment {
     }
 }
 
-/// Opens `path`, or `None` when it does not exist.
-fn open_file(path: &Path) -> Result<Option<File>, String> {
-    match File::open(path) {
-        Ok(f) => Ok(Some(f)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(format!("cannot read segment {}: {e}", path.display())),
-    }
+/// The error for a segment file that cannot be read.
+fn read_err(path: &Path, e: std::io::Error) -> String {
+    format!("cannot read segment {}: {e}", path.display())
 }
 
 impl Segment {
@@ -401,27 +379,24 @@ impl Segment {
     /// an error. Readers racing a concurrent compaction (which removes
     /// merged-away segments after writing their replacement) use this to
     /// skip segments that vanish between the directory listing and the
-    /// read; once open, the handle reads on even if the file is removed.
+    /// read.
     pub fn open_if_present(path: &Path) -> Result<Option<Segment>, String> {
-        let Some(file) = open_file(path)? else {
-            return Ok(None);
+        let data = match std::fs::read(path) {
+            Ok(d) => d,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(read_err(path, e)),
         };
-        let read_err = |e| format!("cannot read segment {}: {e}", path.display());
-        let mut meta = read_footer(&file, path)?;
-        let len = file.metadata().map_err(read_err)?.len();
-        let src = if meta.version == 1 || len <= WHOLE_READ_BYTES {
-            let mut data = vec![0u8; len as usize];
-            file.read_exact_at(&mut data, 0).map_err(read_err)?;
-            if meta.version == 1 {
-                single_pages(&data, &mut meta)
-                    .map_err(|e| format!("corrupt segment {}: {e}", path.display()))?;
-            }
-            Source::Bytes(data)
-        } else {
-            Source::File(file)
-        };
+        let mut meta = read_footer(path, data.len() as u64, |pos, buf| {
+            let pos = pos as usize;
+            buf.copy_from_slice(&data[pos..pos + buf.len()]);
+            Ok(())
+        })?;
+        if meta.version == 1 {
+            single_pages(&data, &mut meta)
+                .map_err(|e| format!("corrupt segment {}: {e}", path.display()))?;
+        }
         Ok(Some(Segment {
-            src,
+            data,
             meta,
             path: path.to_path_buf(),
         }))
@@ -439,10 +414,17 @@ impl Segment {
     /// Footer-only read with the same missing-file tolerance as
     /// [`Segment::open_if_present`].
     pub fn read_meta_if_present(path: &Path) -> Result<Option<SegmentMeta>, String> {
-        match open_file(path)? {
-            Some(file) => read_footer(&file, path).map(Some),
-            None => Ok(None),
-        }
+        let mut file = match std::fs::File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(read_err(path, e)),
+        };
+        let file_len = file.metadata().map_err(|e| read_err(path, e))?.len();
+        read_footer(path, file_len, |pos, buf| {
+            file.seek(SeekFrom::Start(pos))?;
+            file.read_exact(buf)
+        })
+        .map(Some)
     }
 
     /// The error for a corrupt column stream, naming file, chunk and
@@ -455,26 +437,11 @@ impl Segment {
         )
     }
 
-    /// Reads `range` of column `col`'s stream in chunk `chunk` into `buf`.
-    /// The footer parser has checked that every stream lies in the file.
-    fn read(
-        &self,
-        chunk: usize,
-        col: usize,
-        range: Range<usize>,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), String> {
+    /// Bytes `range` of column `col`'s stream in chunk `chunk`. The
+    /// footer parser has checked that every stream lies in the file.
+    fn stream(&self, chunk: usize, col: usize, range: Range<usize>) -> &[u8] {
         let start = self.meta.chunks[chunk].cols[col].offset + range.start;
-        buf.clear();
-        match &self.src {
-            Source::Bytes(data) => buf.extend_from_slice(&data[start..start + range.len()]),
-            Source::File(file) => {
-                buf.resize(range.len(), 0);
-                file.read_exact_at(buf, start as u64)
-                    .map_err(|e| format!("cannot read segment {}: {e}", self.path.display()))?;
-            }
-        }
-        Ok(())
+        &self.data[start..start + range.len()]
     }
 
     /// The dictionary of string column `col` in chunk `chunk`: the stream
@@ -484,9 +451,8 @@ impl Segment {
         let Some(first) = meta.cols[col].pages.first() else {
             return Ok(Vec::new());
         };
-        let mut buf = Vec::new();
-        self.read(chunk, col, 0..first.offset, &mut buf)?;
-        let (dict, rows, pos) = str_header(&buf).map_err(|e| self.corrupt(chunk, col, &e))?;
+        let stream = self.stream(chunk, col, 0..first.offset);
+        let (dict, rows, pos) = str_header(stream).map_err(|e| self.corrupt(chunk, col, &e))?;
         if rows != meta.rows as u64 || pos != first.offset {
             return Err(self.corrupt(chunk, col, "dictionary header disagrees with the footer"));
         }
@@ -494,15 +460,13 @@ impl Segment {
     }
 
     /// Decodes page `page` of column `col` in chunk `chunk` into `out`,
-    /// replacing its contents. `dict_len` bounds string indices. `buf` is
-    /// read scratch.
+    /// replacing its contents. `dict_len` bounds string indices.
     pub(crate) fn read_page(
         &self,
         chunk: usize,
         col: usize,
         page: usize,
         dict_len: usize,
-        buf: &mut Vec<u8>,
         out: &mut Cells,
     ) -> Result<(), String> {
         let meta = &self.meta.chunks[chunk];
@@ -513,7 +477,7 @@ impl Segment {
         // header is its dictionary, checked by [`Segment::dict`].)
         let check_header = page == 0 && COLUMNS[col].1 != ColumnType::Str;
         let start = if check_header { 0 } else { pages[page].offset };
-        self.read(chunk, col, start..end, buf)?;
+        let buf = self.stream(chunk, col, start..end);
         if check_header && num_header(buf) != Ok((meta.rows as u64, pages[0].offset)) {
             return Err(self.corrupt(chunk, col, "row-count header disagrees with the footer"));
         }
@@ -530,7 +494,7 @@ impl Segment {
     }
 }
 
-/// Gives each chunk column of a version-1 segment (held whole in `data`)
+/// Gives each chunk column of a version-1 segment (the file's `data`)
 /// one page spanning the chunk, starting after the stream's header.
 fn single_pages(data: &[u8], meta: &mut SegmentMeta) -> Result<(), String> {
     for (c, chunk) in meta.chunks.iter_mut().enumerate() {
@@ -558,22 +522,24 @@ fn single_pages(data: &[u8], meta: &mut SegmentMeta) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads and parses the footer of the open segment file at `path`.
-fn read_footer(file: &File, path: &Path) -> Result<SegmentMeta, String> {
-    let read_err = |e| format!("cannot read segment {}: {e}", path.display());
+/// Reads and parses the footer of the `file_len`-byte segment file at
+/// `path`; `read(pos, buf)` fills `buf` from byte `pos` of the file.
+fn read_footer(
+    path: &Path,
+    file_len: u64,
+    mut read: impl FnMut(u64, &mut [u8]) -> std::io::Result<()>,
+) -> Result<SegmentMeta, String> {
     let corrupt = |msg: &str| format!("corrupt segment {}: {msg}", path.display());
-    let file_len = file.metadata().map_err(read_err)?.len();
     if file_len < (MAGIC_HEAD.len() + TRAILER) as u64 {
         return Err(corrupt("file shorter than magic + footer trailer"));
     }
     let mut head = [0u8; 4];
-    file.read_exact_at(&mut head, 0).map_err(read_err)?;
+    read(0, &mut head).map_err(|e| read_err(path, e))?;
     if &head != MAGIC_HEAD {
         return Err(corrupt("bad header magic (not an hsc segment)"));
     }
     let mut trailer = [0u8; TRAILER];
-    file.read_exact_at(&mut trailer, file_len - TRAILER as u64)
-        .map_err(read_err)?;
+    read(file_len - TRAILER as u64, &mut trailer).map_err(|e| read_err(path, e))?;
     if &trailer[8..] != MAGIC_TAIL {
         return Err(corrupt("bad trailing magic (truncated write?)"));
     }
@@ -585,8 +551,7 @@ fn read_footer(file: &File, path: &Path) -> Result<SegmentMeta, String> {
         .filter(|&s| s >= MAGIC_HEAD.len() as u64)
         .ok_or_else(|| corrupt("footer length exceeds file size"))?;
     let mut footer = vec![0u8; footer_len as usize];
-    file.read_exact_at(&mut footer, footer_start)
-        .map_err(read_err)?;
+    read(footer_start, &mut footer).map_err(|e| read_err(path, e))?;
     parse_footer(&footer, footer_start as usize).map_err(|e| corrupt(&e))
 }
 
@@ -850,8 +815,7 @@ mod tests {
         let mut all = Cells::new(COLUMNS[col].1);
         let mut page = Cells::new(COLUMNS[col].1);
         for p in 0..seg.meta.chunks[chunk].cols[col].pages.len() {
-            seg.read_page(chunk, col, p, dict.len(), &mut Vec::new(), &mut page)
-                .unwrap();
+            seg.read_page(chunk, col, p, dict.len(), &mut page).unwrap();
             match (&mut all, &page) {
                 (Cells::Str(a), Cells::Str(b)) => a.extend(b),
                 (Cells::Int(a), Cells::Int(b)) => a.extend(b),
@@ -914,8 +878,7 @@ mod tests {
         assert_eq!(t[9], (CHUNK_ROWS + 9) as f64 * 0.5);
         // A page in the middle of a chunk decodes on its own.
         let mut cells = Cells::new(ColumnType::U64);
-        seg.read_page(0, 9, 3, 0, &mut Vec::new(), &mut cells)
-            .unwrap();
+        seg.read_page(0, 9, 3, 0, &mut cells).unwrap();
         assert_eq!(
             cells,
             Cells::Int(
@@ -929,12 +892,14 @@ mod tests {
 
     #[test]
     fn zone_maps_cover_numeric_columns_and_pages() {
-        let rows = sample_rows(PAGE_ROWS + 50);
+        // The last row (index PAGE_ROWS + 48, a multiple of 7) is NaN.
+        let n = PAGE_ROWS + 49;
+        let rows = sample_rows(n);
         let path = write_tmp("zones", &encode(&rows, &[]));
         let seg = Segment::open(&path).unwrap();
         let chunk = &seg.meta.chunks[0];
-        // seed column: 42..=42 + rows - 1, split at the page boundary.
-        let last = (42 + PAGE_ROWS + 49) as f64;
+        // seed column: 42..=42 + n - 1, split at the page boundary.
+        let last = (42 + n - 1) as f64;
         assert_eq!(chunk.cols[7].zone, Some((42.0, last)));
         assert_eq!(
             chunk.cols[7].pages[0].zone,
@@ -950,9 +915,16 @@ mod tests {
             chunk.cols[4].pages[1].present.as_deref(),
             Some(&[0b11u8][..])
         );
-        // value column: NaNs excluded, min is 1.0 (i=0 is NaN).
-        let (lo, _) = chunk.cols[15].zone.unwrap();
-        assert_eq!(lo, 1.0);
+        // value column: NaNs excluded. Row 0 is NaN, so the min is 1.0;
+        // the chunk's last row and page 0's last row (PAGE_ROWS - 1) are
+        // NaN, so each max is the row before.
+        let max = (n - 2) as f64;
+        assert_eq!(chunk.cols[15].zone, Some((1.0, max)));
+        assert_eq!(
+            chunk.cols[15].pages[0].zone,
+            Some((1.0, (PAGE_ROWS - 2) as f64))
+        );
+        assert_eq!(chunk.cols[15].pages[1].zone, Some((PAGE_ROWS as f64, max)));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
