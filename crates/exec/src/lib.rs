@@ -29,6 +29,7 @@
 //! The entry points are [`run_outer`] and [`run_matmul`].
 
 pub mod block;
+mod master;
 pub mod matmul_run;
 pub mod outer_run;
 pub mod protocol;

@@ -1,11 +1,10 @@
 //! Real execution of the matrix multiplication under any scheduler.
 
 use crate::block::{gemm_kernel, BlockedMatrix};
-use crate::protocol::{BlockTag, ExecConfig, ExecReport, InjectedFault, Job, ToMaster, ToWorker};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use hetsched_platform::ProcId;
+use crate::master::execute;
+use crate::protocol::{BlockTag, ExecConfig, ExecReport, InjectedFault, ToMaster, ToWorker};
+use crossbeam::channel::{Receiver, Sender};
 use hetsched_sim::Scheduler;
-use hetsched_util::rng::rng_for;
 use hetsched_util::FixedBitSet;
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -19,7 +18,7 @@ use std::hint::black_box;
 /// paper's accounting where `C` traffic is deferred to the end of the
 /// computation.
 pub fn run_matmul<S: Scheduler>(
-    mut scheduler: S,
+    scheduler: S,
     a: &BlockedMatrix,
     b: &BlockedMatrix,
     cfg: &ExecConfig,
@@ -35,171 +34,35 @@ pub fn run_matmul<S: Scheduler>(
         "scheduler sized for a different problem"
     );
 
-    let mut rng = rng_for(cfg.seed, 0xE8ED);
-    let (to_master_tx, to_master_rx): (Sender<ToMaster>, Receiver<ToMaster>) = unbounded();
-    let worker_channels: Vec<(Sender<ToWorker>, Receiver<ToWorker>)> =
-        (0..p).map(|_| unbounded()).collect();
-
     let mut sent_a: Vec<FixedBitSet> = (0..p).map(|_| FixedBitSet::new(n * n)).collect();
     let mut sent_b: Vec<FixedBitSet> = (0..p).map(|_| FixedBitSet::new(n * n)).collect();
-
     let mut result = BlockedMatrix::zeros(n, l);
-    let mut report = ExecReport {
-        input_blocks_shipped: 0,
-        result_blocks_returned: 0,
-        tasks_per_worker: vec![0; p],
-        jobs_per_worker: vec![0; p],
-        tasks_lost_per_worker: vec![0; p],
-    };
-
-    // Workers whose injected fault has not yet fired or been cancelled.
-    let mut fault_pending: Vec<bool> = (0..p).map(|w| cfg.fail_after(w).is_some()).collect();
-    let mut pending_count = fault_pending.iter().filter(|&&b| b).count();
-    assert!(
-        pending_count < p,
-        "at least one worker must survive the faults"
+    let report = execute(
+        scheduler,
+        cfg,
+        0xE8ED,
+        |w, rx, tx| worker_loop(w, n, l, cfg.work_factor(w), rx, tx),
+        |worker, tasks| {
+            let mut blocks = Vec::new();
+            for &id in tasks {
+                let (i, j, k) = decode(id, n);
+                let a_id = i * n + k;
+                let b_id = k * n + j;
+                if sent_a[worker].insert(a_id) {
+                    blocks.push((BlockTag::A(a_id as u32), a.copy_block(i, k)));
+                }
+                if sent_b[worker].insert(b_id) {
+                    blocks.push((BlockTag::B(b_id as u32), b.copy_block(k, j)));
+                }
+            }
+            blocks
+        },
+        |blocks| {
+            for ((i, j), data) in blocks {
+                result.add_block(i as usize, j as usize, &data);
+            }
+        },
     );
-
-    crossbeam::thread::scope(|scope| {
-        for (w, (_, rx)) in worker_channels.iter().enumerate() {
-            let rx = rx.clone();
-            let tx = to_master_tx.clone();
-            let fault_tx = to_master_tx.clone();
-            let factor = cfg.work_factor(w);
-            let fail_after = cfg.fail_after(w);
-            scope.spawn(move |_| {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker_loop(w, n, l, factor, fail_after, rx, tx)
-                })) {
-                    Ok(()) => {}
-                    Err(payload) if payload.is::<InjectedFault>() => {
-                        let _ = fault_tx.send(ToMaster::Failed { worker: w });
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            });
-        }
-        drop(to_master_tx);
-
-        // Every task id a worker currently holds unflushed results for.
-        let mut assigned: Vec<Vec<u32>> = vec![Vec::new(); p];
-        // Requests that cannot be answered yet: the pool is drained but a
-        // pending fault may still return lost tasks to it.
-        let mut parked: Vec<usize> = Vec::new();
-        let mut live = p;
-
-        while live > 0 {
-            match to_master_rx.recv().expect("workers alive while live > 0") {
-                ToMaster::Request { worker } => parked.push(worker),
-                ToMaster::Results { worker, blocks } => {
-                    report.result_blocks_returned += blocks.len() as u64;
-                    for ((i, j), data) in blocks {
-                        result.add_block(i as usize, j as usize, &data);
-                    }
-                    assigned[worker].clear();
-                    live -= 1;
-                }
-                ToMaster::Failed { worker } => {
-                    // The thread is gone and its locally accumulated C
-                    // contributions with it: return everything it was
-                    // assigned to the pool.
-                    live -= 1;
-                    debug_assert!(fault_pending[worker]);
-                    fault_pending[worker] = false;
-                    pending_count -= 1;
-                    let lost = std::mem::take(&mut assigned[worker]);
-                    report.tasks_per_worker[worker] -= lost.len() as u64;
-                    report.tasks_lost_per_worker[worker] += lost.len() as u64;
-                    scheduler.on_tasks_lost(&lost);
-                }
-            }
-
-            loop {
-                // Serve parked requests until none can make progress.
-                loop {
-                    let mut progress = false;
-                    let mut idx = 0;
-                    while idx < parked.len() {
-                        let worker = parked[idx];
-                        if scheduler.remaining() == 0 {
-                            let own = fault_pending[worker] as usize;
-                            if pending_count - own > 0 {
-                                // Some *other* worker may still die and
-                                // return tasks; keep this request parked.
-                                idx += 1;
-                                continue;
-                            }
-                            // This worker's own fault (if any) can never
-                            // fire while it idles on an empty pool: cancel
-                            // it and let the worker shut down below.
-                            if fault_pending[worker] {
-                                fault_pending[worker] = false;
-                                pending_count -= 1;
-                            }
-                        }
-                        let mut tasks = Vec::new();
-                        let alloc = if scheduler.remaining() == 0 {
-                            hetsched_sim::Allocation::DONE
-                        } else {
-                            scheduler.on_request(ProcId(worker as u32), &mut rng, &mut tasks)
-                        };
-                        if alloc.is_done() {
-                            worker_channels[worker]
-                                .0
-                                .send(ToWorker::Shutdown)
-                                .expect("worker waiting");
-                            parked.remove(idx);
-                            progress = true;
-                            continue;
-                        }
-                        debug_assert_eq!(tasks.len(), alloc.tasks);
-                        report.tasks_per_worker[worker] += tasks.len() as u64;
-                        report.jobs_per_worker[worker] += 1;
-                        assigned[worker].extend_from_slice(&tasks);
-
-                        let mut blocks = Vec::new();
-                        for &id in &tasks {
-                            let (i, j, k) = decode(id, n);
-                            let a_id = i * n + k;
-                            let b_id = k * n + j;
-                            if sent_a[worker].insert(a_id) {
-                                blocks.push((BlockTag::A(a_id as u32), a.copy_block(i, k)));
-                            }
-                            if sent_b[worker].insert(b_id) {
-                                blocks.push((BlockTag::B(b_id as u32), b.copy_block(k, j)));
-                            }
-                        }
-                        report.input_blocks_shipped += blocks.len() as u64;
-                        worker_channels[worker]
-                            .0
-                            .send(ToWorker::Job(Job { tasks, blocks }))
-                            .expect("worker waiting");
-                        parked.remove(idx);
-                        progress = true;
-                    }
-                    if !progress {
-                        break;
-                    }
-                }
-                // Deadlock breaker: if every live worker is parked on an
-                // empty pool, the remaining pending faults (all on parked,
-                // hence idle, workers) can never fire. Cancel them and
-                // re-serve so everyone shuts down.
-                if parked.len() == live && scheduler.remaining() == 0 && pending_count > 0 {
-                    for &w in &parked {
-                        if fault_pending[w] {
-                            fault_pending[w] = false;
-                            pending_count -= 1;
-                        }
-                    }
-                    continue;
-                }
-                break;
-            }
-        }
-    })
-    .expect("worker thread panicked");
-
     (result, report)
 }
 
@@ -216,11 +79,9 @@ fn worker_loop(
     n: usize,
     l: usize,
     work_factor: u32,
-    fail_after: Option<u64>,
     rx: Receiver<ToWorker>,
     tx: Sender<ToMaster>,
 ) {
-    let mut completed = 0u64;
     let mut store_a: HashMap<usize, Vec<f64>> = HashMap::new();
     let mut store_b: HashMap<usize, Vec<f64>> = HashMap::new();
     // Local C accumulators, keyed by (i, j).
@@ -243,8 +104,8 @@ fn worker_loop(
                         }
                     }
                 }
-                for id in job.tasks {
-                    if Some(completed) == fail_after {
+                for (at, id) in job.tasks.into_iter().enumerate() {
+                    if Some(at) == job.fail_at {
                         // Injected fault: die as if the thread was killed,
                         // taking the local C accumulators down with it.
                         std::panic::panic_any(InjectedFault);
@@ -267,7 +128,6 @@ fn worker_loop(
                             sleep_debt = std::time::Duration::ZERO;
                         }
                     }
-                    completed += 1;
                 }
                 tx.send(ToMaster::Request { worker }).expect("master alive");
             }

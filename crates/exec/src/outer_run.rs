@@ -1,11 +1,10 @@
 //! Real execution of the outer product under any scheduler.
 
 use crate::block::{outer_kernel, BlockedMatrix, BlockedVector};
-use crate::protocol::{BlockTag, ExecConfig, ExecReport, InjectedFault, Job, ToMaster, ToWorker};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use hetsched_platform::ProcId;
+use crate::master::execute;
+use crate::protocol::{BlockTag, ExecConfig, ExecReport, InjectedFault, ToMaster, ToWorker};
+use crossbeam::channel::{Receiver, Sender};
 use hetsched_sim::Scheduler;
-use hetsched_util::rng::rng_for;
 use hetsched_util::FixedBitSet;
 use std::hint::black_box;
 
@@ -15,7 +14,7 @@ use std::hint::black_box;
 /// The scheduler must have been constructed for `n = a.n_blocks()` blocks
 /// and `p = cfg.speeds.len()` workers (`total_tasks() == n²`).
 pub fn run_outer<S: Scheduler>(
-    mut scheduler: S,
+    scheduler: S,
     a: &BlockedVector,
     b: &BlockedVector,
     cfg: &ExecConfig,
@@ -31,173 +30,34 @@ pub fn run_outer<S: Scheduler>(
         "scheduler sized for a different problem"
     );
 
-    let mut rng = rng_for(cfg.seed, 0xE8EC);
-    let (to_master_tx, to_master_rx): (Sender<ToMaster>, Receiver<ToMaster>) = unbounded();
-    let worker_channels: Vec<(Sender<ToWorker>, Receiver<ToWorker>)> =
-        (0..p).map(|_| unbounded()).collect();
-
     // Master-side record of which blocks each worker has been shipped.
     let mut sent_a: Vec<FixedBitSet> = (0..p).map(|_| FixedBitSet::new(n)).collect();
     let mut sent_b: Vec<FixedBitSet> = (0..p).map(|_| FixedBitSet::new(n)).collect();
-
     let mut result = BlockedMatrix::zeros(n, l);
-    let mut report = ExecReport {
-        input_blocks_shipped: 0,
-        result_blocks_returned: 0,
-        tasks_per_worker: vec![0; p],
-        jobs_per_worker: vec![0; p],
-        tasks_lost_per_worker: vec![0; p],
-    };
-
-    // Workers whose injected fault has not yet fired or been cancelled.
-    let mut fault_pending: Vec<bool> = (0..p).map(|w| cfg.fail_after(w).is_some()).collect();
-    let mut pending_count = fault_pending.iter().filter(|&&b| b).count();
-    assert!(
-        pending_count < p,
-        "at least one worker must survive the faults"
+    let report = execute(
+        scheduler,
+        cfg,
+        0xE8EC,
+        |w, rx, tx| worker_loop(w, n, l, cfg.work_factor(w), rx, tx),
+        |worker, tasks| {
+            let mut blocks = Vec::new();
+            for &id in tasks {
+                let (i, j) = ((id as usize) / n, (id as usize) % n);
+                if sent_a[worker].insert(i) {
+                    blocks.push((BlockTag::A(i as u32), a.copy_block(i)));
+                }
+                if sent_b[worker].insert(j) {
+                    blocks.push((BlockTag::B(j as u32), b.copy_block(j)));
+                }
+            }
+            blocks
+        },
+        |blocks| {
+            for ((i, j), data) in blocks {
+                result.add_block(i as usize, j as usize, &data);
+            }
+        },
     );
-
-    crossbeam::thread::scope(|scope| {
-        for (w, (_, rx)) in worker_channels.iter().enumerate() {
-            let rx = rx.clone();
-            let tx = to_master_tx.clone();
-            let fault_tx = to_master_tx.clone();
-            let factor = cfg.work_factor(w);
-            let fail_after = cfg.fail_after(w);
-            scope.spawn(move |_| {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker_loop(w, n, l, factor, fail_after, rx, tx)
-                })) {
-                    Ok(()) => {}
-                    Err(payload) if payload.is::<InjectedFault>() => {
-                        let _ = fault_tx.send(ToMaster::Failed { worker: w });
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            });
-        }
-        drop(to_master_tx);
-
-        // Every task id a worker currently holds unflushed results for.
-        let mut assigned: Vec<Vec<u32>> = vec![Vec::new(); p];
-        // Requests that cannot be answered yet: the pool is drained but a
-        // pending fault may still return lost tasks to it.
-        let mut parked: Vec<usize> = Vec::new();
-        let mut live = p;
-
-        while live > 0 {
-            match to_master_rx.recv().expect("workers alive while live > 0") {
-                ToMaster::Request { worker } => parked.push(worker),
-                ToMaster::Results { worker, blocks } => {
-                    report.result_blocks_returned += blocks.len() as u64;
-                    for ((i, j), data) in blocks {
-                        result.add_block(i as usize, j as usize, &data);
-                    }
-                    assigned[worker].clear();
-                    live -= 1;
-                }
-                ToMaster::Failed { worker } => {
-                    // The thread is gone and its locally held results with
-                    // it: return everything it was assigned to the pool.
-                    live -= 1;
-                    debug_assert!(fault_pending[worker]);
-                    fault_pending[worker] = false;
-                    pending_count -= 1;
-                    let lost = std::mem::take(&mut assigned[worker]);
-                    report.tasks_per_worker[worker] -= lost.len() as u64;
-                    report.tasks_lost_per_worker[worker] += lost.len() as u64;
-                    scheduler.on_tasks_lost(&lost);
-                }
-            }
-
-            loop {
-                // Serve parked requests until none can make progress.
-                loop {
-                    let mut progress = false;
-                    let mut idx = 0;
-                    while idx < parked.len() {
-                        let worker = parked[idx];
-                        if scheduler.remaining() == 0 {
-                            let own = fault_pending[worker] as usize;
-                            if pending_count - own > 0 {
-                                // Some *other* worker may still die and
-                                // return tasks; keep this request parked.
-                                idx += 1;
-                                continue;
-                            }
-                            // This worker's own fault (if any) can never
-                            // fire while it idles on an empty pool: cancel
-                            // it and let the worker shut down below.
-                            if fault_pending[worker] {
-                                fault_pending[worker] = false;
-                                pending_count -= 1;
-                            }
-                        }
-                        let mut tasks = Vec::new();
-                        let alloc = if scheduler.remaining() == 0 {
-                            hetsched_sim::Allocation::DONE
-                        } else {
-                            scheduler.on_request(ProcId(worker as u32), &mut rng, &mut tasks)
-                        };
-                        if alloc.is_done() {
-                            worker_channels[worker]
-                                .0
-                                .send(ToWorker::Shutdown)
-                                .expect("worker waiting");
-                            parked.remove(idx);
-                            progress = true;
-                            continue;
-                        }
-                        debug_assert_eq!(tasks.len(), alloc.tasks);
-                        report.tasks_per_worker[worker] += tasks.len() as u64;
-                        report.jobs_per_worker[worker] += 1;
-                        assigned[worker].extend_from_slice(&tasks);
-
-                        // Ship exactly the blocks these tasks need and the
-                        // worker lacks. (A data-aware scheduler may have
-                        // *accounted* for more — blocks bought by extensions
-                        // that enabled nothing; see the exec-vs-sim tests.)
-                        let mut blocks = Vec::new();
-                        for &id in &tasks {
-                            let (i, j) = ((id as usize) / n, (id as usize) % n);
-                            if sent_a[worker].insert(i) {
-                                blocks.push((BlockTag::A(i as u32), a.copy_block(i)));
-                            }
-                            if sent_b[worker].insert(j) {
-                                blocks.push((BlockTag::B(j as u32), b.copy_block(j)));
-                            }
-                        }
-                        report.input_blocks_shipped += blocks.len() as u64;
-                        worker_channels[worker]
-                            .0
-                            .send(ToWorker::Job(Job { tasks, blocks }))
-                            .expect("worker waiting");
-                        parked.remove(idx);
-                        progress = true;
-                    }
-                    if !progress {
-                        break;
-                    }
-                }
-                // Deadlock breaker: if every live worker is parked on an
-                // empty pool, the remaining pending faults (all on parked,
-                // hence idle, workers) can never fire. Cancel them and
-                // re-serve so everyone shuts down.
-                if parked.len() == live && scheduler.remaining() == 0 && pending_count > 0 {
-                    for &w in &parked {
-                        if fault_pending[w] {
-                            fault_pending[w] = false;
-                            pending_count -= 1;
-                        }
-                    }
-                    continue;
-                }
-                break;
-            }
-        }
-    })
-    .expect("worker thread panicked");
-
     (result, report)
 }
 
@@ -208,14 +68,12 @@ fn worker_loop(
     n: usize,
     l: usize,
     work_factor: u32,
-    fail_after: Option<u64>,
     rx: Receiver<ToWorker>,
     tx: Sender<ToMaster>,
 ) {
     let mut store_a: Vec<Option<Vec<f64>>> = vec![None; n];
     let mut store_b: Vec<Option<Vec<f64>>> = vec![None; n];
     let mut results: Vec<((u32, u32), Vec<f64>)> = Vec::new();
-    let mut completed = 0u64;
     // Accumulated sleep owed by the speed emulation; flushed in chunks
     // large enough to beat the OS timer granularity (~50 µs), so emulated
     // speed ratios stay accurate even for microsecond kernels.
@@ -231,8 +89,8 @@ fn worker_loop(
                         BlockTag::B(j) => store_b[j as usize] = Some(data),
                     }
                 }
-                for id in job.tasks {
-                    if Some(completed) == fail_after {
+                for (at, id) in job.tasks.into_iter().enumerate() {
+                    if Some(at) == job.fail_at {
                         // Injected fault: die as if the thread was killed,
                         // taking the locally held results down with it.
                         std::panic::panic_any(InjectedFault);
@@ -255,7 +113,6 @@ fn worker_loop(
                         }
                     }
                     results.push(((i as u32, j as u32), c));
-                    completed += 1;
                 }
                 tx.send(ToMaster::Request { worker }).expect("master alive");
             }

@@ -16,6 +16,9 @@ pub struct Job {
     pub tasks: Vec<u32>,
     /// Input blocks the worker does not have yet.
     pub blocks: Vec<(BlockTag, Vec<f64>)>,
+    /// Position in `tasks` of the task an injected fault kills the worker
+    /// on, before computing it.
+    pub fail_at: Option<usize>,
 }
 
 /// Master → worker.
@@ -51,9 +54,11 @@ pub(crate) struct InjectedFault;
 /// An injected fault for a real execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecFault {
-    /// Kill `worker`'s thread (by unwinding it) once it has completed
-    /// `after` tasks. The fault is cancelled if the worker idles out with
-    /// fewer completions — it can then never fire.
+    /// Kill `worker`'s thread (by unwinding it) on the `(after + 1)`-th
+    /// task the master dispatches to it, once it has completed `after`.
+    /// The master holds back tasks so that this task comes whenever the
+    /// problem has more than `after` tasks; a fault with `after` at least
+    /// the task count can never fire and is dropped.
     FailAfterTasks { worker: usize, after: u64 },
 }
 

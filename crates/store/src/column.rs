@@ -26,10 +26,11 @@
 //!
 //! **Cells.** Decoding yields `Cells`: dictionary indices for strings,
 //! never the strings themselves, so a scan tests string predicates and
-//! builds group keys without materialising a `String` per row. Every
-//! count read from a stream is checked against the bytes that remain
-//! before anything is allocated: a corrupt stream is an error, never a
-//! panic or an abort.
+//! builds group keys without materialising a `String` per row. Integer
+//! and index deltas of one or two varint bytes — nearly all of them —
+//! decode without a branch on their length. Every count read from a
+//! stream is checked against the bytes that remain before anything is
+//! allocated: a corrupt stream is an error, never a panic or an abort.
 
 use crate::schema::ColumnType;
 use crate::varint::{get_varint, put_varint, unzigzag, zigzag};
@@ -273,7 +274,19 @@ pub(crate) fn decode_cells(
     let mut pos = 0;
     let mut prev = base;
     let mut next = |pos: &mut usize| -> Result<u64, String> {
-        prev = prev.wrapping_add(unzigzag(get_varint(buf, pos)?) as u64);
+        // Deltas of one or two bytes (the first two bytes are not both
+        // continuation bytes) decode without a branch on their length,
+        // which mixed lengths would mispredict. Longer ones, the buffer's
+        // last byte and every error take the general reader.
+        let raw = match buf.get(*pos..*pos + 2) {
+            Some(&[b0, b1]) if b0 & b1 & 0x80 == 0 => {
+                let more = b0 >> 7;
+                *pos += 1 + usize::from(more);
+                u64::from(b0 & 0x7f) | ((u64::from(b1) << 7) * u64::from(more))
+            }
+            _ => get_varint(buf, pos)?,
+        };
+        prev = prev.wrapping_add(unzigzag(raw) as u64);
         Ok(prev)
     };
     match out {
@@ -420,6 +433,26 @@ mod tests {
             decode(&buf, ColumnType::U64, 7).1,
             Cells::Int(values.to_vec())
         );
+    }
+
+    #[test]
+    fn varints_of_every_length_decode_and_truncations_error_alike() {
+        // Deltas of one to ten varint bytes, up and down, ending on a
+        // one-byte delta in the buffer's last byte.
+        let mut values: Vec<u64> = (0..64).map(|k| (1u64 << k) ^ (k % 2)).collect();
+        values.extend([0, u64::MAX, 3, 3, 60]);
+        let mut buf = Vec::new();
+        encode_int(&values, false, &mut buf);
+        assert_eq!(
+            decode(&buf, ColumnType::U64, values.len()).1,
+            Cells::Int(values)
+        );
+        // A varint cut short errors as the general reader does.
+        for bytes in [&[0x80u8][..], &[0x81, 0x80], &[0x81, 0x82, 0x83]] {
+            let mut cells = Cells::new(ColumnType::U64);
+            let want = get_varint(bytes, &mut 0).unwrap_err();
+            assert_eq!(decode_cells(bytes, 1, 0, 0, &mut cells), Err(want));
+        }
     }
 
     #[test]

@@ -28,25 +28,44 @@
 //!    (typed: dictionary indices, `u64` bits, `f64`) and narrows the
 //!    selection. String predicates compare dictionary indices.
 //! 4. **Output.** Only pages with selected rows decode the projected,
-//!    grouped and aggregated columns. Group keys are tuples of
-//!    dictionary indices and raw number bits, mapped back to strings
-//!    once per group per chunk; each group's states accumulate in row
-//!    order within the chunk.
+//!    grouped and aggregated columns (`count` of a column decodes none).
+//!
+//! **Group ids.** Each group-by column gives a selected row a chunk-local
+//! id: a string column's dictionary index as it is, a numeric column's
+//! bits interned in first-appearance order. The first column's id is the
+//! row's group; each further column packs `(group so far, id)` into one
+//! `u64` and interns that. One string column thus costs no hashing, and a
+//! key of any width and type takes the same steps. Keys map back to
+//! strings and numbers once per group per chunk.
+//!
+//! **Typed folds.** Each aggregate keeps its states in flat vectors
+//! indexed by group: sums and cell counts, minima, maxima, percentile
+//! cells (as order-preserving keys, one part per chunk). A page folds in
+//! with one loop per (aggregate, column type), not one dispatch per row.
+//! `count` — of rows or of any column, NaN and string cells included — is
+//! the group's row count.
 //!
 //! Chunks scan in parallel ([`run_query_with`] takes a thread count;
-//! `None` means all cores). Each chunk produces a partial result —
-//! per-group `(count, sum, min, max, value-buffer)` states — and partials
-//! merge in (segment-name, chunk) order, so output is **byte-identical at
-//! any thread count**: sums associate per chunk then across chunks in one
-//! fixed order, percentile buffers concatenate in chunk order before the
-//! nearest-rank selection. NaN cells match no predicate and are skipped by every
-//! aggregate except `count`, mirroring SQL NULL. Group keys sort with a
-//! total order (NaN groups last), and ungrouped scans emit rows in
-//! segment-name/chunk/row order, so output is deterministic — the golden
-//! byte-stability tests in the CLI and `tests/store_parallel.rs` pin this.
+//! `None` means all cores). Each chunk produces a partial result, and
+//! partials merge in (segment-name, chunk) order, so output is
+//! **byte-identical at any thread count**. Every fold keeps the order
+//! the row-at-a-time reader used: within a chunk a group's cells fold in
+//! row order (a sum starts at `+0.0` and adds each cell), and chunk
+//! partials add into the merged sum in chunk order — it too starts at
+//! `+0.0`, which moves no bits, since a sum that starts at `+0.0` is
+//! never `-0.0` — so `sum` and `mean` keep their bits; `min`/`max` skip
+//! NaN the same way; percentile cells concatenate in chunk order before
+//! the nearest-rank selection, whose answer does not depend on order
+//! anyway. NaN cells match no predicate and are skipped by every
+//! aggregate except `count`, mirroring SQL NULL.
+//! Group keys sort with a total order (NaN groups last), and ungrouped
+//! scans emit rows in segment-name/chunk/row order, so output is
+//! deterministic — the golden byte-stability tests in the CLI and
+//! `tests/store_parallel.rs` pin this.
 
-use std::collections::btree_map::Entry;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hasher};
 
 use hetsched_core::runner::parallel_map;
 
@@ -505,17 +524,6 @@ impl<'q> Pred<'q> {
     }
 }
 
-/// The numeric view of row `r` of a numeric column: integers widen to
-/// `f64` (as `I64` when `signed`).
-fn num_at(cells: &Cells, signed: bool, r: usize) -> f64 {
-    match cells {
-        Cells::Int(v) if signed => v[r] as i64 as f64,
-        Cells::Int(v) => v[r] as f64,
-        Cells::F64(v) => v[r],
-        Cells::Str(_) => f64::NAN,
-    }
-}
-
 /// Keeps the rows of `sel` whose value `x(r)` satisfies `op lit`. NaN
 /// satisfies nothing (every comparison with NaN is false but `!=`).
 fn retain_cmp(sel: &mut Vec<u32>, x: impl Fn(usize) -> f64, op: CmpOp, lit: f64) {
@@ -544,96 +552,274 @@ fn refine_num(sel: &mut Vec<u32>, cells: &Cells, signed: bool, op: CmpOp, lit: f
     }
 }
 
-/// One aggregate's mergeable partial state. Every scan — single- or
-/// multi-threaded — goes through these states per chunk, then merges
-/// chunk partials in (segment, chunk) order, so float associativity is
-/// fixed by the data layout, never by the thread count.
-#[derive(Clone, Debug)]
-enum AggState {
-    /// `count`: matching cells (rows, for the bare `count`).
-    Count(u64),
-    /// `mean` and `sum`: running sum plus the non-NaN cell count.
-    Sum { sum: f64, n: u64 },
-    /// `min`: NaN while empty.
-    Min(f64),
-    /// `max`: NaN while empty.
-    Max(f64),
-    /// `pNN`: the cells themselves, in scan order.
-    Values(Vec<f64>),
+/// The smaller of a `min` state and a cell; a NaN state is empty.
+fn least(state: f64, x: f64) -> f64 {
+    if state.is_nan() {
+        x
+    } else {
+        state.min(x)
+    }
 }
 
-impl AggState {
-    fn new(func: AggFn) -> AggState {
+/// The larger of a `max` state and a cell; a NaN state is empty.
+fn most(state: f64, x: f64) -> f64 {
+    if state.is_nan() {
+        x
+    } else {
+        state.max(x)
+    }
+}
+
+/// `x`'s bits mapped so that unsigned order is `f64::total_cmp` order.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    // Negative: flip every bit. Positive: set the sign bit.
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
+/// One aggregate's states, one slot per group. A page's selected rows
+/// fold in with one typed loop per (aggregate, column type) — the
+/// dispatch happens once per page, never per row.
+enum Fold {
+    /// `count`, of rows or of a column's cells (NaN and string cells
+    /// included), is its group's row count and keeps no state of its own.
+    Count,
+    /// `mean` and `sum`: running sums and their non-NaN cell counts.
+    Sum(Vec<f64>, Vec<u64>),
+    /// `min`: NaN while empty.
+    Min(Vec<f64>),
+    /// `max`: NaN while empty.
+    Max(Vec<f64>),
+    /// `pNN`: the non-NaN cells as [`order_key`]s, in scan order: one
+    /// part per chunk, so merging partials moves cells instead of
+    /// copying them.
+    Cells(Vec<Vec<Vec<u64>>>),
+}
+
+impl Fold {
+    fn new(func: AggFn) -> Fold {
         match func {
-            AggFn::Count => AggState::Count(0),
-            AggFn::Mean | AggFn::Sum => AggState::Sum { sum: 0.0, n: 0 },
-            AggFn::Min => AggState::Min(f64::NAN),
-            AggFn::Max => AggState::Max(f64::NAN),
-            AggFn::Percentile(_) => AggState::Values(Vec::new()),
+            AggFn::Count => Fold::Count,
+            AggFn::Mean | AggFn::Sum => Fold::Sum(Vec::new(), Vec::new()),
+            AggFn::Min => Fold::Min(Vec::new()),
+            AggFn::Max => Fold::Max(Vec::new()),
+            AggFn::Percentile(_) => Fold::Cells(Vec::new()),
         }
     }
 
-    fn push(&mut self, x: f64) {
+    /// Grows the states to `groups` slots; new slots are empty.
+    fn grow(&mut self, groups: usize) {
         match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum { sum, n } => {
-                *sum += x;
-                *n += 1;
+            Fold::Count => {}
+            Fold::Sum(sum, n) => {
+                sum.resize(groups, 0.0);
+                n.resize(groups, 0);
             }
-            AggState::Min(m) => *m = if m.is_nan() { x } else { m.min(x) },
-            AggState::Max(m) => *m = if m.is_nan() { x } else { m.max(x) },
-            AggState::Values(v) => v.push(x),
+            Fold::Min(m) | Fold::Max(m) => m.resize(groups, f64::NAN),
+            Fold::Cells(cells) => cells.resize_with(groups, || vec![Vec::new()]),
         }
     }
 
-    /// Folds `other` (a later chunk's partial) into `self`. Callers merge
-    /// in chunk order, which [`AggState::Values`] relies on.
-    fn merge(&mut self, other: AggState) {
+    /// Folds the selected rows `sel` of a decoded numeric page in, row
+    /// `sel[j]` into group `gids[j]`. Integers widen to `f64` (as `I64`
+    /// when `signed`).
+    fn add(&mut self, cells: &Cells, signed: bool, sel: &[u32], gids: &[u32]) {
+        match cells {
+            Cells::F64(v) => self.add_with(sel, gids, |r| v[r]),
+            Cells::Int(v) if signed => self.add_with(sel, gids, |r| v[r] as i64 as f64),
+            Cells::Int(v) => self.add_with(sel, gids, |r| v[r] as f64),
+            Cells::Str(_) => unreachable!("string columns take count only"),
+        }
+    }
+
+    fn add_with(&mut self, sel: &[u32], gids: &[u32], x: impl Fn(usize) -> f64) {
+        let cells = sel
+            .iter()
+            .zip(gids)
+            .map(|(&r, &g)| (x(r as usize), g as usize))
+            .filter(|(x, _)| !x.is_nan());
+        match self {
+            Fold::Count => {}
+            Fold::Sum(sum, n) => cells.for_each(|(x, g)| {
+                sum[g] += x;
+                n[g] += 1;
+            }),
+            Fold::Min(m) => cells.for_each(|(x, g)| m[g] = least(m[g], x)),
+            Fold::Max(m) => cells.for_each(|(x, g)| m[g] = most(m[g], x)),
+            Fold::Cells(v) => cells.for_each(|(x, g)| v[g][0].push(order_key(x))),
+        }
+    }
+
+    /// Appends slot `g` of `other` (a chunk's partial) as a new slot,
+    /// moving its state. This is what merging it into an empty slot
+    /// gives: a chunk's sum starts at `+0.0`, so it is never `-0.0`, and
+    /// `+0.0 + x` is `x` bit for bit.
+    fn push_from(&mut self, other: &mut Fold, g: usize) {
         match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Sum { sum, n }, AggState::Sum { sum: s2, n: n2 }) => {
-                *sum += s2;
-                *n += n2;
+            (Fold::Count, Fold::Count) => {}
+            (Fold::Sum(sum, n), Fold::Sum(sum2, n2)) => {
+                sum.push(sum2[g]);
+                n.push(n2[g]);
             }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if !b.is_nan() {
-                    *a = if a.is_nan() { b } else { a.min(b) };
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if !b.is_nan() {
-                    *a = if a.is_nan() { b } else { a.max(b) };
-                }
-            }
-            (AggState::Values(a), AggState::Values(b)) => a.extend(b),
-            _ => unreachable!("merging partials of different aggregate kinds"),
+            (Fold::Min(a), Fold::Min(b)) | (Fold::Max(a), Fold::Max(b)) => a.push(b[g]),
+            (Fold::Cells(a), Fold::Cells(b)) => a.push(std::mem::take(&mut b[g])),
+            _ => unreachable!("merging partials of different aggregates"),
         }
     }
 
-    fn finish(self, func: AggFn) -> f64 {
-        match (func, self) {
-            (_, AggState::Count(n)) => n as f64,
-            (AggFn::Mean, AggState::Sum { sum, n }) => {
-                if n == 0 {
+    /// Folds slot `g` of `other` (a later chunk's partial) into slot
+    /// `into`. Callers merge in chunk order, which [`Fold::Cells`] relies
+    /// on.
+    fn merge(&mut self, into: usize, other: &mut Fold, g: usize) {
+        match (self, other) {
+            (Fold::Count, Fold::Count) => {}
+            (Fold::Sum(sum, n), Fold::Sum(sum2, n2)) => {
+                sum[into] += sum2[g];
+                n[into] += n2[g];
+            }
+            (Fold::Min(a), Fold::Min(b)) => a[into] = least(a[into], b[g]),
+            (Fold::Max(a), Fold::Max(b)) => a[into] = most(a[into], b[g]),
+            (Fold::Cells(a), Fold::Cells(b)) => a[into].append(&mut b[g]),
+            _ => unreachable!("merging partials of different aggregates"),
+        }
+    }
+
+    /// Aggregate `func` of group `g`, which holds `rows` selected rows.
+    /// `scratch` holds a percentile's cells when they span chunks.
+    fn finish(&mut self, func: AggFn, g: usize, rows: u64, scratch: &mut Vec<u64>) -> f64 {
+        match self {
+            Fold::Count => rows as f64,
+            Fold::Sum(sum, n) if func == AggFn::Mean => {
+                if n[g] == 0 {
                     f64::NAN
                 } else {
-                    sum / n as f64
+                    sum[g] / n[g] as f64
                 }
             }
-            (_, AggState::Sum { sum, .. }) => sum,
-            (_, AggState::Min(m)) | (_, AggState::Max(m)) => m,
-            (AggFn::Percentile(p), AggState::Values(mut values)) => {
-                if values.is_empty() {
-                    return f64::NAN;
-                }
-                // Nearest rank. Values equal under `total_cmp` have equal
-                // bits, so selecting the rank picks what a full sort would.
-                let rank = ((p / 100.0) * values.len() as f64).ceil() as usize;
-                let (_, v, _) = values.select_nth_unstable_by(rank.max(1) - 1, f64::total_cmp);
-                *v
+            Fold::Sum(sum, _) => sum[g],
+            Fold::Min(m) | Fold::Max(m) => m[g],
+            Fold::Cells(cells) => {
+                let AggFn::Percentile(p) = func else {
+                    unreachable!("cells are kept for percentiles only")
+                };
+                let parts = &mut cells[g];
+                parts.retain(|part| !part.is_empty());
+                let keys = match &mut parts[..] {
+                    [] => return f64::NAN,
+                    [one] => one,
+                    parts => {
+                        scratch.clear();
+                        parts
+                            .iter()
+                            .for_each(|part| scratch.extend_from_slice(part));
+                        scratch
+                    }
+                };
+                // Nearest rank. Keys order as `total_cmp` orders the cells,
+                // and equal keys are equal bits, so selecting the rank picks
+                // what a full sort would.
+                let rank = ((p / 100.0) * keys.len() as f64).ceil() as usize;
+                from_order_key(*keys.select_nth_unstable(rank.max(1) - 1).1)
             }
-            _ => unreachable!("aggregate state does not match its function"),
         }
+    }
+}
+
+/// Group states, one slot per group: its selected rows and one [`Fold`]
+/// per aggregate.
+struct States {
+    rows: Vec<u64>,
+    folds: Vec<Fold>,
+}
+
+impl States {
+    fn new(q: &Query) -> States {
+        States {
+            rows: Vec::new(),
+            folds: q.aggs.iter().map(|a| Fold::new(a.func)).collect(),
+        }
+    }
+
+    fn grow(&mut self, groups: usize) {
+        self.rows.resize(groups, 0);
+        self.folds.iter_mut().for_each(|f| f.grow(groups));
+    }
+
+    /// Appends slot `g` of `other`, a chunk's partial, as a new group.
+    fn push_from(&mut self, other: &mut States, g: usize) {
+        self.rows.push(other.rows[g]);
+        for (fold, theirs) in self.folds.iter_mut().zip(&mut other.folds) {
+            fold.push_from(theirs, g);
+        }
+    }
+
+    /// Folds slot `g` of `other`, a later chunk's partial, into slot
+    /// `into`.
+    fn merge(&mut self, into: usize, other: &mut States, g: usize) {
+        self.rows[into] += other.rows[g];
+        for (fold, theirs) in self.folds.iter_mut().zip(&mut other.folds) {
+            fold.merge(into, theirs, g);
+        }
+    }
+}
+
+/// A hasher for the `u64` keys group ids are interned by: one folded
+/// multiply, which spreads every key bit over the low bits a table picks
+/// its bucket from and the high bits it tags entries with.
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let p = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+}
+
+/// Starts each [`MixHasher`] from a random seed, so cells read from
+/// ingested files cannot be chosen to collide. Ids never depend on it.
+struct MixState(u64);
+
+impl Default for MixState {
+    fn default() -> MixState {
+        MixState(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for MixState {
+    type Hasher = MixHasher;
+
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
+    }
+}
+
+/// Dense ids for `u64` keys, in first-appearance order.
+#[derive(Default)]
+struct Interner {
+    ids: HashMap<u64, u32, MixState>,
+    keys: Vec<u64>,
+}
+
+impl Interner {
+    fn id(&mut self, key: u64) -> u32 {
+        let keys = &mut self.keys;
+        *self.ids.entry(key).or_insert_with(|| {
+            keys.push(key);
+            keys.len() as u32 - 1
+        })
     }
 }
 
@@ -706,110 +892,138 @@ impl<'s> ChunkReader<'s> {
     }
 }
 
-/// One chunk's groups, keyed by tuples of dictionary indices and raw
-/// number bits; each group's states accumulate in row order.
-#[derive(Default)]
-struct ChunkGroups {
-    index: HashMap<Vec<u64>, u32>,
-    /// Group keys, by group number.
-    keys: Vec<Vec<u64>>,
-    /// Group-major: `aggs.len()` states per group.
-    states: Vec<AggState>,
-    /// Scratch: the selected rows' keys, row-major, and group numbers.
-    key_cells: Vec<u64>,
+/// One chunk's groups. Each group-by column gives every selected row a
+/// chunk-local cell id: a string column's dictionary index as it is, a
+/// numeric column's bits interned. The first column's id is the row's
+/// group; each further column packs `(group so far, cell id)` into one
+/// `u64` and interns it, which gives the new group. So a key of one
+/// string column costs no hashing, and keys of any width and type go
+/// through the same steps. States accumulate per group in row order.
+struct ChunkGroups<'q> {
+    q: &'q Query,
+    /// Per group-by column: its numeric cells' ids (unused for strings).
+    cells: Vec<Interner>,
+    /// Per group-by column after the first: the packed pairs' ids.
+    pairs: Vec<Interner>,
+    /// By group id. A dictionary entry no selected row holds is an empty
+    /// group, dropped at the end.
+    states: States,
+    /// Scratch, per selected row: one column's cell ids, and the groups.
+    ids: Vec<u32>,
     gids: Vec<u32>,
 }
 
-impl ChunkGroups {
-    /// Folds the selected rows `sel` of the loaded page into the groups,
-    /// one column at a time.
-    fn add(&mut self, q: &Query, rd: &ChunkReader, sel: &[u32]) {
+impl<'q> ChunkGroups<'q> {
+    fn new(q: &'q Query) -> ChunkGroups<'q> {
         let width = q.group_by.len();
-        self.key_cells.clear();
-        self.key_cells.resize(sel.len() * width, 0);
-        for (k, &c) in q.group_by.iter().enumerate() {
-            let slots = self.key_cells.iter_mut().skip(k).step_by(width.max(1));
-            match &rd.cells[c] {
-                Cells::Str(v) => slots
-                    .zip(sel)
-                    .for_each(|(s, &r)| *s = u64::from(v[r as usize])),
-                Cells::Int(v) => slots.zip(sel).for_each(|(s, &r)| *s = v[r as usize]),
-                Cells::F64(v) => slots
-                    .zip(sel)
-                    .for_each(|(s, &r)| *s = v[r as usize].to_bits()),
-            }
+        ChunkGroups {
+            q,
+            cells: (0..width).map(|_| Interner::default()).collect(),
+            pairs: (1..width).map(|_| Interner::default()).collect(),
+            states: States::new(q),
+            ids: Vec::new(),
+            gids: Vec::new(),
         }
+    }
+
+    /// Folds the selected rows `sel` of the loaded page into the groups.
+    fn add(&mut self, rd: &ChunkReader, sel: &[u32]) {
         self.gids.clear();
-        for j in 0..sel.len() {
-            let key = &self.key_cells[j * width..(j + 1) * width];
-            let gid = match self.index.get(key) {
-                Some(&g) => g,
-                None => {
-                    let g = self.keys.len() as u32;
-                    self.index.insert(key.to_vec(), g);
-                    self.keys.push(key.to_vec());
-                    self.states
-                        .extend(q.aggs.iter().map(|a| AggState::new(a.func)));
-                    g
+        self.gids.resize(sel.len(), 0);
+        let mut groups = 1;
+        for (k, &c) in self.q.group_by.iter().enumerate() {
+            let ids = if k == 0 {
+                &mut self.gids
+            } else {
+                &mut self.ids
+            };
+            ids.clear();
+            let interner = &mut self.cells[k];
+            let sel = sel.iter().map(|&r| r as usize);
+            let distinct = match &rd.cells[c] {
+                Cells::Str(v) => {
+                    ids.extend(sel.map(|r| v[r]));
+                    rd.dicts[c].as_deref().map_or(0, <[String]>::len)
+                }
+                Cells::Int(v) => {
+                    ids.extend(sel.map(|r| interner.id(v[r])));
+                    interner.keys.len()
+                }
+                Cells::F64(v) => {
+                    ids.extend(sel.map(|r| interner.id(v[r].to_bits())));
+                    interner.keys.len()
                 }
             };
-            self.gids.push(gid);
+            groups = if k == 0 {
+                distinct
+            } else {
+                let pairs = &mut self.pairs[k - 1];
+                for (g, &id) in self.gids.iter_mut().zip(&self.ids) {
+                    *g = pairs.id((u64::from(*g) << 32) | u64::from(id));
+                }
+                pairs.keys.len()
+            };
         }
-        let na = q.aggs.len();
-        for (a, agg) in q.aggs.iter().enumerate() {
-            let state = |g: u32| g as usize * na + a;
-            match agg.col {
-                None => {
-                    for &g in &self.gids {
-                        self.states[state(g)].push(1.0);
-                    }
-                }
-                // String cells have no numeric view: nothing to count.
-                Some(c) if COLUMNS[c].1 == ColumnType::Str => {}
-                Some(c) => {
-                    let signed = COLUMNS[c].1 == ColumnType::I64;
-                    let cells = &rd.cells[c];
-                    for (&r, &g) in sel.iter().zip(&self.gids) {
-                        let x = num_at(cells, signed, r as usize);
-                        if !x.is_nan() || agg.func == AggFn::Count {
-                            self.states[state(g)].push(x);
-                        }
-                    }
-                }
+        // Ids only grow within a chunk, so this never drops a group.
+        self.states.grow(groups);
+        for &g in &self.gids {
+            self.states.rows[g as usize] += 1;
+        }
+        for (fold, agg) in self.states.folds.iter_mut().zip(&self.q.aggs) {
+            if let (Some(c), false) = (agg.col, agg.func == AggFn::Count) {
+                let signed = COLUMNS[c].1 == ColumnType::I64;
+                fold.add(&rd.cells[c], signed, sel, &self.gids);
             }
         }
     }
 
-    /// The groups with their keys mapped back to strings and numbers —
-    /// once per group per chunk.
-    fn finish(self, q: &Query, rd: &ChunkReader) -> Vec<(Vec<Key>, Vec<AggState>)> {
-        let mut states = self.states.into_iter();
-        self.keys
-            .into_iter()
-            .map(|key| {
-                let key = key
-                    .iter()
-                    .zip(&q.group_by)
-                    .map(|(&bits, &c)| match COLUMNS[c].1 {
-                        ColumnType::Str => Key::Str(
-                            rd.dicts[c].as_deref().unwrap_or_default()[bits as usize].clone(),
-                        ),
-                        ColumnType::U64 => Key::U64(bits),
-                        ColumnType::I64 => Key::I64(bits as i64),
-                        ColumnType::F64 => Key::F64(TotalF64(f64::from_bits(bits))),
-                    })
-                    .collect();
-                (key, states.by_ref().take(q.aggs.len()).collect())
-            })
-            .collect()
+    /// The non-empty groups, each with its state slot and its key mapped
+    /// back to strings and numbers (once per group per chunk).
+    fn finish(self, rd: &ChunkReader) -> Partial {
+        let mut groups = Vec::new();
+        for (slot, _) in self.states.rows.iter().enumerate().filter(|(_, &n)| n > 0) {
+            let mut g = slot as u32;
+            let mut key = Vec::with_capacity(self.q.group_by.len());
+            for (k, &c) in self.q.group_by.iter().enumerate().rev() {
+                let id = match k {
+                    0 => g,
+                    _ => {
+                        let packed = self.pairs[k - 1].keys[g as usize];
+                        g = (packed >> 32) as u32;
+                        packed as u32
+                    }
+                } as usize;
+                let bits = || self.cells[k].keys[id];
+                key.push(match COLUMNS[c].1 {
+                    ColumnType::Str => {
+                        Key::Str(rd.dicts[c].as_deref().unwrap_or_default()[id].clone())
+                    }
+                    ColumnType::U64 => Key::U64(bits()),
+                    ColumnType::I64 => Key::I64(bits() as i64),
+                    ColumnType::F64 => Key::F64(TotalF64(f64::from_bits(bits()))),
+                });
+            }
+            key.reverse();
+            groups.push((key, slot));
+        }
+        Partial {
+            groups,
+            states: self.states,
+        }
     }
+}
+
+/// A chunk's grouped output: its non-empty groups' keys and state slots.
+struct Partial {
+    groups: Vec<(Vec<Key>, usize)>,
+    states: States,
 }
 
 /// One chunk's scan output: group partials when aggregating, projected
 /// rows otherwise. `None` from [`scan_chunk`] means the chunk was pruned
 /// or no row matched.
 struct ChunkScan {
-    groups: Vec<(Vec<Key>, Vec<AggState>)>,
+    groups: Option<Partial>,
     rows: Vec<Vec<Value>>,
 }
 
@@ -842,10 +1056,10 @@ fn scan_chunk(seg: &Segment, chunk: usize, plan: &Plan) -> Result<Option<ChunkSc
         needles.push(needle);
     }
 
-    let mut groups = ChunkGroups::default();
+    let mut groups = plan.grouped.then(|| ChunkGroups::new(plan.q));
     let mut rows: Vec<Vec<Value>> = Vec::new();
     let mut sel: Vec<u32> = Vec::new();
-    let npages = meta.cols[0].pages.len();
+    let npages = meta.rows.div_ceil(seg.meta.page_rows);
     'pages: for page in 0..npages {
         sel.clear();
         sel.extend(0..seg.meta.page_range(meta.rows, page).len() as u32);
@@ -890,24 +1104,21 @@ fn scan_chunk(seg: &Segment, chunk: usize, plan: &Plan) -> Result<Option<ChunkSc
         for &col in &plan.body {
             rd.load(col, page)?;
         }
-        if plan.grouped {
-            groups.add(plan.q, &rd, &sel);
-        } else {
-            rows.extend(sel.iter().map(|&r| {
+        match &mut groups {
+            Some(groups) => groups.add(&rd, &sel),
+            None => rows.extend(sel.iter().map(|&r| {
                 plan.select
                     .iter()
                     .map(|&c| rd.value(c, r as usize))
                     .collect()
-            }));
+            })),
         }
     }
-    if groups.keys.is_empty() && rows.is_empty() {
+    let groups = groups.map(|g| g.finish(&rd));
+    if groups.as_ref().is_none_or(|g| g.groups.is_empty()) && rows.is_empty() {
         return Ok(None);
     }
-    Ok(Some(ChunkScan {
-        groups: groups.finish(plan.q, &rd),
-        rows,
-    }))
+    Ok(Some(ChunkScan { groups, rows }))
 }
 
 /// Runs `q` over every segment of `store`, scanning chunks on all cores.
@@ -931,7 +1142,12 @@ pub fn run_query_with(
         q.select.clone()
     };
     let mut body: Vec<usize> = Vec::new();
-    let agg_cols = q.aggs.iter().filter_map(|a| a.col);
+    // `count` of a column is its group's row count: it decodes no cells.
+    let agg_cols = q
+        .aggs
+        .iter()
+        .filter(|a| a.func != AggFn::Count)
+        .filter_map(|a| a.col);
     for c in q.group_by.iter().chain(&select).copied().chain(agg_cols) {
         if !body.contains(&c) {
             body.push(c);
@@ -985,21 +1201,26 @@ pub fn run_query_with(
         return Ok(QueryResult { header, rows });
     }
 
-    let mut groups: BTreeMap<Vec<Key>, Vec<AggState>> = BTreeMap::new();
+    // Groups in key order, each with a slot in the merged states.
+    let mut index: BTreeMap<Vec<Key>, usize> = BTreeMap::new();
+    let mut states = States::new(q);
     // Deterministic merge: partials come back in work-list order whatever
     // the thread count (parallel_map preserves slot order).
     for partial in parallel_map(&work, threads, |_, item| scan(item)) {
-        let Some(chunk) = partial? else { continue };
-        for (key, states) in chunk.groups {
-            match groups.entry(key) {
-                Entry::Vacant(e) => {
-                    e.insert(states);
-                }
-                Entry::Occupied(mut e) => {
-                    for (acc, state) in e.get_mut().iter_mut().zip(states) {
-                        acc.merge(state);
-                    }
-                }
+        let Some(Partial {
+            groups,
+            states: mut chunk,
+        }) = partial?.and_then(|c| c.groups)
+        else {
+            continue;
+        };
+        for (key, g) in groups {
+            let next = index.len();
+            let slot = *index.entry(key).or_insert(next);
+            if slot == next {
+                states.push_from(&mut chunk, g);
+            } else {
+                states.merge(slot, &mut chunk, g);
             }
         }
     }
@@ -1011,17 +1232,17 @@ pub fn run_query_with(
         .collect();
     header.extend(q.aggs.iter().map(|a| a.label.clone()));
     // A global aggregate over zero matching rows still reports one row.
-    if q.group_by.is_empty() && groups.is_empty() {
-        groups.insert(
-            Vec::new(),
-            q.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        );
+    if q.group_by.is_empty() && index.is_empty() {
+        index.insert(Vec::new(), 0);
+        states.grow(1);
     }
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key, states) in groups {
+    let mut rows = Vec::with_capacity(index.len());
+    let mut scratch = Vec::new();
+    for (key, g) in index {
         let mut row: Vec<Value> = key.iter().map(key_value).collect();
-        for (agg, state) in q.aggs.iter().zip(states) {
-            row.push(Value::F64(state.finish(agg.func)));
+        for (fold, agg) in states.folds.iter_mut().zip(&q.aggs) {
+            let rows = states.rows[g];
+            row.push(Value::F64(fold.finish(agg.func, g, rows, &mut scratch)));
         }
         rows.push(row);
     }
@@ -1256,6 +1477,39 @@ mod tests {
         assert_eq!(res.rows[0][4], Value::F64(95.0)); // p95
         assert_eq!(res.rows[0][5], Value::F64(1.0));
         assert_eq!(res.rows[0][6], Value::F64(100.0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wide_integer_keys_group_by_their_full_bits() {
+        // Keys that agree in their low 32 bits, in both key positions.
+        let rows = (0..12u64)
+            .map(|i| {
+                let mut r = report("D", "m", i as f64, f64::NAN);
+                r.seed = (1 << 40) * (i % 2) + 7;
+                r.events = u64::MAX - (1 << 33) * (i % 3);
+                r
+            })
+            .collect();
+        let (store, dir) = test_store("wide", rows);
+        let q = build_query(
+            None,
+            None,
+            Some("seed,events"),
+            Some("count,sum(value)"),
+            None,
+        )
+        .unwrap();
+        let csv = run_query(&store, &q).unwrap().to_csv();
+        let (a, b) = (7, (1u64 << 40) + 7);
+        let (x, y, z) = (u64::MAX - (2 << 33), u64::MAX - (1 << 33), u64::MAX);
+        assert_eq!(
+            csv,
+            format!(
+                "seed,events,count,sum(value)\n{a},{x},2,10\n{a},{y},2,14\n{a},{z},2,6\n\
+                 {b},{x},2,16\n{b},{y},2,8\n{b},{z},2,12\n"
+            )
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -148,7 +148,7 @@ fn get(r: &Row, col: &str) -> Value {
 /// literals split in two.
 fn conditions(spec: &str) -> Vec<(usize, &str, &str)> {
     let mut out = Vec::new();
-    for clause in spec.split(',') {
+    for clause in spec.split(',').filter(|c| !c.is_empty()) {
         let op = ["!=", "<=", ">=", "=", "<", ">"]
             .into_iter()
             .find(|op| clause.contains(op))
@@ -335,7 +335,9 @@ impl Case {
         let aggs: Vec<&str> = aggs.iter().map(String::as_str).collect();
         let q = build_query(
             list(&self.select).as_deref(),
-            Some(&self.spec),
+            Some(&self.spec)
+                .filter(|s| !s.is_empty())
+                .map(String::as_str),
             list(&self.group_by).as_deref(),
             list(&aggs).as_deref(),
             None,
@@ -385,7 +387,11 @@ fn column_scan_matches_a_row_at_a_time_oracle() {
     let in_order: Vec<&[Row]> = named.iter().map(|(_, b)| *b).collect();
     let before = layout(&in_order);
 
-    let group_cols = ["strategy", "kind", "worker", "run", "seed", "beta"];
+    // `events` is unique per row: one group per row, so a chunk holds
+    // more distinct keys than a page has rows.
+    let group_cols = [
+        "strategy", "kind", "worker", "run", "seed", "beta", "events",
+    ];
     let agg_cols = ["value", "blocks", "worker", "t", "beta"];
     // Every operator on an integer and a float column, at literals inside
     // and at the edges of the data, then random conjunctions.
@@ -401,6 +407,38 @@ fn column_scan_matches_a_row_at_a_time_oracle() {
             });
         }
     }
+    // No predicate and no group: counts come from every chunk, whether
+    // or not the scan reads any column.
+    queries.push(Case {
+        spec: String::new(),
+        select: Vec::new(),
+        group_by: Vec::new(),
+        aggs: vec![
+            ("count", None),
+            ("count", Some("kind")),
+            ("count", Some("value")),
+        ],
+    });
+    queries.push(Case {
+        spec: String::new(),
+        select: Vec::new(),
+        group_by: Vec::new(),
+        aggs: vec![("count", None), ("max", Some("events"))],
+    });
+    // A string and a per-row key across the first chunk boundary.
+    queries.push(Case {
+        spec: "events=60000..70000".to_string(),
+        select: Vec::new(),
+        group_by: vec!["kind", "events"],
+        aggs: vec![
+            ("count", None),
+            ("count", Some("kind")),
+            ("min", Some("value")),
+            ("max", Some("value")),
+            ("sum", Some("value")),
+            ("mean", Some("value")),
+        ],
+    });
     for i in 0..14 {
         let spec = random_where(&mut rng);
         if i % 2 == 0 {
@@ -420,6 +458,8 @@ fn column_scan_matches_a_row_at_a_time_oracle() {
             let col = rng.pick(&agg_cols);
             let aggs = vec![
                 ("count", None),
+                ("count", Some("kind")),
+                ("count", Some(col)),
                 ("min", Some(col)),
                 ("max", Some(col)),
                 ("p50", Some(col)),
