@@ -18,18 +18,23 @@
 //!    path for all eight strategies: a one-port link with latency and
 //!    result write-back pricing, a bounded multiport master with per-worker
 //!    caps, and a one-port link with a failure that strands transfers.
+//! 5. **Priced trace golden.** [`PRICED_TRACE_GOLDEN`] pins the *order* of
+//!    what the priced loop emits, which reports cannot see: a digest of
+//!    the probed JSONL stream of each [`Priced`] scenario for a random, a
+//!    dynamic and a two-phase strategy.
 //!
 //! A third test exercises the acceptance criterion of the subsystem itself:
 //! under a tight one-port master link, `DynamicOuter`'s lower communication
 //! volume must translate into a strictly better makespan than
 //! `RandomOuter`'s, and the advantage must vanish once bandwidth is ample.
 
-use hetsched::core::{run_once, BetaChoice, ExperimentConfig, Kernel, Strategy};
+use hetsched::core::{run_once, run_once_observed, BetaChoice, ExperimentConfig, Kernel, Strategy};
 use hetsched::matmul::{DynamicMatrix, DynamicMatrix2Phases, RandomMatrix, SortedMatrix};
 use hetsched::net::NetworkModel;
 use hetsched::outer::{DynamicOuter, DynamicOuter2Phases, RandomOuter, SortedOuter};
 use hetsched::platform::{FailureModel, Platform, ProcId, SpeedModel};
-use hetsched::sim::{Engine, Scheduler, SimReport, Topology, Trace};
+use hetsched::sim::{sink, Engine, EventKind, ProbeConfig, Scheduler, SimReport, Topology, Trace};
+use hetsched::store::fnv1a64;
 use hetsched::util::rng::rng_for;
 
 const SEED: u64 = 0x5EED;
@@ -1027,4 +1032,105 @@ fn priced_paths_match_golden_values() {
             ),
         }
     }
+}
+
+/// One pinned probed JSONL stream of a [`Priced`] scenario.
+struct TraceGolden {
+    kernel: Kernel,
+    strategy: Strategy,
+    scenario: Priced,
+    /// FNV-1a of the JSONL body (events, then probe samples every eighth
+    /// event), rendered without the manifest line so that a version bump
+    /// does not move it.
+    digest: u64,
+}
+
+/// Captured from the priced loop that queues an `Arrive` event for every
+/// transfer, with the configurations of [`priced_cfg`] and seed [`SEED`].
+/// A change here is a change in what the priced loop emits, or in what
+/// order.
+const PRICED_TRACE_GOLDEN: [TraceGolden; 18] = {
+    const fn g(kernel: Kernel, strategy: Strategy, scenario: Priced, digest: u64) -> TraceGolden {
+        TraceGolden {
+            kernel,
+            strategy,
+            scenario,
+            digest,
+        }
+    }
+    const OUTER: Kernel = Kernel::Outer { n: 24 };
+    const MATMUL: Kernel = Kernel::Matmul { n: 10 };
+    const TWO_PHASE: Strategy = Strategy::TwoPhase(BetaChoice::Analytic);
+    use Priced::*;
+    use Strategy::{Dynamic, Random};
+    [
+        g(OUTER, Random, Returns, 0xeb3aef5e646aee53),
+        g(OUTER, Dynamic, Returns, 0x5bebd0b9588b6e91),
+        g(OUTER, TWO_PHASE, Returns, 0x4c0d0be19867f4e9),
+        g(OUTER, Random, Multiport, 0x4d0d73e0439aa4bc),
+        g(OUTER, Dynamic, Multiport, 0xb13f00f8257ed109),
+        g(OUTER, TWO_PHASE, Multiport, 0xca7c8d6060daf49a),
+        g(OUTER, Random, Failure, 0x375d975af4dad35c),
+        g(OUTER, Dynamic, Failure, 0x30e355554ec77008),
+        g(OUTER, TWO_PHASE, Failure, 0xb5280d1786c26281),
+        g(MATMUL, Random, Returns, 0x930815c6509e0501),
+        g(MATMUL, Dynamic, Returns, 0x4157e56d658fb215),
+        g(MATMUL, TWO_PHASE, Returns, 0x3b5ac2e5d49cbed1),
+        g(MATMUL, Random, Multiport, 0xa6980484695cda55),
+        g(MATMUL, Dynamic, Multiport, 0xd8a80194a567e853),
+        g(MATMUL, TWO_PHASE, Multiport, 0x6bd1098ecad99b0a),
+        g(MATMUL, Random, Failure, 0x385e3a9930092de6),
+        g(MATMUL, Dynamic, Failure, 0x13f33181871b373c),
+        g(MATMUL, TWO_PHASE, Failure, 0x1613023605d7ac81),
+    ]
+};
+
+/// Whether the failed worker of a [`Priced::Failure`] run died between the
+/// arrival of its prefetched batch and the compute-done of the batch it
+/// was running: it loses a running batch (`Lost`) and strands a batch
+/// whose transfer had already landed.
+fn death_strands_a_landed_batch(cfg: &ExperimentConfig, trace: &Trace) -> bool {
+    let &[(dead, fail)] = cfg.failures.failures() else {
+        panic!("one failure per scenario");
+    };
+    let of_dead = |kind| {
+        trace
+            .events()
+            .iter()
+            .filter(move |e| e.proc == dead && e.kind == kind)
+    };
+    let Some(stranded) = of_dead(EventKind::Stranded).next_back() else {
+        return false;
+    };
+    let last_transfer = of_dead(EventKind::Transfer)
+        .next_back()
+        .expect("a stranded batch was sent");
+    let landed = last_transfer.time + last_transfer.duration + cfg.link_latency;
+    of_dead(EventKind::Lost).count() > 0
+        && stranded.time == fail
+        && stranded.blocks == last_transfer.blocks
+        && landed < fail
+}
+
+#[test]
+fn priced_trace_streams_match_golden_digests() {
+    let mut landed_deaths = 0;
+    for g in &PRICED_TRACE_GOLDEN {
+        let cfg = priced_cfg(g.kernel, g.strategy, g.scenario);
+        let label = format!("{:?}/{}", g.scenario, g.strategy.label(g.kernel));
+        let obs = run_once_observed(&cfg, SEED, ProbeConfig::by_events(8));
+        let body = sink::jsonl(None, &obs.trace, &obs.probes);
+        let digest = fnv1a64(body.as_bytes());
+        assert_eq!(
+            digest, g.digest,
+            "{label}: trace stream drifted ({digest:#018x})"
+        );
+        if matches!(g.scenario, Priced::Failure) && death_strands_a_landed_batch(&cfg, &obs.trace) {
+            landed_deaths += 1;
+        }
+    }
+    // The case the priced loop handles without an `Arrive` event must be
+    // pinned: a death between a prefetched batch's arrival and its
+    // worker's compute-done.
+    assert!(landed_deaths > 0, "no failure run strands a landed batch");
 }
