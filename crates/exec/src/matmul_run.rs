@@ -206,13 +206,17 @@ mod tests {
 
     #[test]
     fn heterogeneous_speeds_skew_task_shares() {
-        // Large enough blocks that the gemm kernel dominates messaging.
+        // Blocks large enough that the gemm kernel dominates messaging. The
+        // emulation slows only the kernel, so at l = 24 (a ~10 µs kernel,
+        // about one channel round trip) the 6× gap shrank to about 3× and
+        // a preempted fast worker could fall below 1.5×; at l = 64 the
+        // split sits near the nominal 6×.
         let cfg = ExecConfig {
             speeds: vec![1.0, 6.0],
             seed: 9,
             faults: Vec::new(),
         };
-        let (_, report) = check(RandomMatrix::new(6, 2), 6, 24, &cfg);
+        let (_, report) = check(RandomMatrix::new(6, 2), 6, 64, &cfg);
         let slow = report.tasks_per_worker[0] as f64;
         let fast = report.tasks_per_worker[1] as f64;
         assert!(fast > 1.5 * slow, "fast {fast} vs slow {slow}");

@@ -2,6 +2,7 @@
 
 use crate::model::NetworkModel;
 use hetsched_platform::ProcId;
+use std::collections::VecDeque;
 
 /// The priced timing of one batch transfer.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -21,7 +22,8 @@ pub struct TransferPlan {
 ///
 /// Transfers are priced in request order (FIFO): each send grabs the
 /// earliest-free channel. Because every worker has at most one batch in
-/// flight, at most `p` transfers are ever outstanding.
+/// flight, at most `p` transfers are ever outstanding. Requests come in
+/// non-decreasing time (see [`send`](Self::send)).
 #[derive(Clone, Debug)]
 pub struct NetState {
     model: NetworkModel,
@@ -36,9 +38,11 @@ pub struct NetState {
     /// Accumulated master-link busy time (sum of transfer durations).
     busy: f64,
     /// Start times of transfers that were queued behind a busy channel and
-    /// have not started yet (pruned lazily).
-    waiting_starts: Vec<f64>,
+    /// had not started at the last send, in non-decreasing order.
+    waiting_starts: VecDeque<f64>,
     max_queue_depth: usize,
+    /// The latest request time, which the next may not precede.
+    last_now: f64,
 }
 
 impl NetState {
@@ -75,8 +79,9 @@ impl NetState {
             worker_bw: Vec::new(),
             channel_free: vec![0.0; channels],
             busy: 0.0,
-            waiting_starts: Vec::new(),
+            waiting_starts: VecDeque::new(),
             max_queue_depth: 0,
+            last_now: 0.0,
         }
     }
 
@@ -122,7 +127,20 @@ impl NetState {
     ///
     /// Zero-block sends (worker retirement handshakes) are free and do not
     /// occupy a channel.
+    ///
+    /// Calls must come in non-decreasing `now` (checked in debug builds):
+    /// the engine sends at event times, which it pops in order, and the
+    /// tree's tier link sends everything at `0`. The earliest-free channel
+    /// clock never decreases either, so neither does a transfer's `start`,
+    /// and the transfers still waiting at `now` are a suffix of the sends
+    /// so far: the queue depth costs amortised O(1) per send.
     pub fn send(&mut self, k: ProcId, blocks: u64, now: f64) -> TransferPlan {
+        debug_assert!(
+            now >= self.last_now,
+            "sends must come in non-decreasing time ({now} after {})",
+            self.last_now
+        );
+        self.last_now = now;
         if self.model.is_infinite() || blocks == 0 {
             return TransferPlan {
                 start: now,
@@ -153,9 +171,12 @@ impl NetState {
         self.busy += duration;
 
         // Queue-depth metric: transfers enqueued but not yet started.
-        self.waiting_starts.retain(|&s| s > now);
+        while self.waiting_starts.front().is_some_and(|&s| s <= now) {
+            self.waiting_starts.pop_front();
+        }
         if start > now {
-            self.waiting_starts.push(start);
+            debug_assert!(self.waiting_starts.back().is_none_or(|&s| s <= start));
+            self.waiting_starts.push_back(start);
         }
         self.max_queue_depth = self.max_queue_depth.max(self.waiting_starts.len());
 
@@ -353,5 +374,119 @@ mod tests {
             );
         }
         assert_eq!(plain.master_busy(), listed.master_busy());
+    }
+
+    /// The pricing `NetState::send` had when it recounted the waiting
+    /// transfers with a `retain` on every send: the reference the FIFO
+    /// queue-depth count must agree with.
+    struct RetainReference {
+        rates: Vec<f64>,
+        latency: Vec<f64>,
+        channel_free: Vec<f64>,
+        busy: f64,
+        waiting_starts: Vec<f64>,
+        max_queue_depth: usize,
+    }
+
+    impl RetainReference {
+        fn send(&mut self, k: ProcId, blocks: u64, now: f64) -> TransferPlan {
+            if blocks == 0 {
+                return TransferPlan {
+                    start: now,
+                    end: now,
+                    arrival: now,
+                };
+            }
+            let duration = blocks as f64 / self.rates[k.idx()];
+            let (slot, _) = self
+                .channel_free
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .unwrap();
+            let start = self.channel_free[slot].max(now);
+            let end = start + duration;
+            self.channel_free[slot] = end;
+            self.busy += duration;
+            self.waiting_starts.retain(|&s| s > now);
+            if start > now {
+                self.waiting_starts.push(start);
+            }
+            self.max_queue_depth = self.max_queue_depth.max(self.waiting_starts.len());
+            TransferPlan {
+                start,
+                end,
+                arrival: end + self.latency[k.idx()],
+            }
+        }
+    }
+
+    #[test]
+    fn fifo_queue_depth_agrees_with_the_retain_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let p = 12;
+        let multiport = NetworkModel::BoundedMultiport {
+            master_bw: 40.0,
+            worker_bw: 10.0,
+        };
+        let caps: Vec<f64> = (0..p).map(|k| 4.0 + 3.0 * k as f64).collect();
+        let latency: Vec<f64> = (0..p).map(|k| 0.125 * (k % 3) as f64).collect();
+        let cases = [
+            (NetworkModel::OnePort { master_bw: 10.0 }, None),
+            (multiport, None),
+            (multiport, Some(caps.clone())),
+        ];
+        let mut deepest = 0;
+        for (model, caps) in cases {
+            for _ in 0..20 {
+                let mut net = NetState::new(model, p, latency.clone());
+                let rates = match &caps {
+                    Some(caps) => {
+                        net = net.with_worker_bandwidths(caps.clone());
+                        caps.iter().map(|&c| c.min(40.0)).collect()
+                    }
+                    None => vec![model.transfer_rate().unwrap(); p],
+                };
+                let mut reference = RetainReference {
+                    rates,
+                    latency: latency.clone(),
+                    channel_free: vec![0.0; model.channels().min(p)],
+                    busy: 0.0,
+                    waiting_starts: Vec::new(),
+                    max_queue_depth: 0,
+                };
+                let mut now = 0.0;
+                for _ in 0..400 {
+                    // Repeated instants half the time, a coarse time
+                    // grid so that starts tie with `now`, and an
+                    // occasional zero-block send.
+                    if next(2) == 0 {
+                        now += next(8) as f64 * 0.25;
+                    }
+                    let k = ProcId(next(p as u64) as u32);
+                    let blocks = if next(10) == 0 { 0 } else { 1 + next(12) };
+                    assert_eq!(net.send(k, blocks, now), reference.send(k, blocks, now));
+                    assert_eq!(net.master_busy(), reference.busy);
+                    assert_eq!(net.max_queue_depth(), reference.max_queue_depth);
+                }
+                deepest = deepest.max(net.max_queue_depth());
+            }
+        }
+        assert!(deepest > 3, "the workload never queued deeply ({deepest})");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-decreasing time")]
+    fn a_send_back_in_time_is_caught() {
+        let mut net = one_port(1.0);
+        net.send(ProcId(0), 1, 2.0);
+        net.send(ProcId(1), 1, 1.0);
     }
 }

@@ -8,18 +8,25 @@
 //!   moment its worker requests it, and the worker requests again when the
 //!   batch is done;
 //! * the **priced** link ([`NetState`]) times transfers over the master's
-//!   channels, so a transfer ends in an `Arrive` event of its own, and
-//!   communication overlaps computation through depth-1 prefetch: when a
-//!   batch starts computing, its worker at once requests the next one. An
-//!   arriving batch starts at `max(arrival, compute-done)`; the gap, when
-//!   positive, is the worker's *transfer wait* — the quantity the free
-//!   link assumes away — counted from the later of the worker's last
-//!   compute-done and its request.
+//!   channels, and communication overlaps computation through depth-1
+//!   prefetch: when a batch starts computing, its worker at once requests
+//!   the next one. An arriving batch starts at `max(arrival,
+//!   compute-done)`; the gap, when positive, is the worker's *transfer
+//!   wait* — the quantity the free link assumes away — counted from the
+//!   later of the worker's last compute-done and its request. A transfer
+//!   ends in an `Arrive` event of its own only when it lands at or after
+//!   its worker's compute-done, or goes to an idle or dying worker: a
+//!   batch that lands while its worker still computes is started by that
+//!   worker's `Done`, and an `Arrive` for it would only have marked it
+//!   landed.
 //!
 //! Both instances share the event queue, the fault bookkeeping, the
 //! re-ship ledger, the request path, the recorder calls and the report.
 //! Monomorphisation compiles the priced parts out of the free instance: it
 //! pushes no `Arrive` events, parks no batches and samples no link state.
+//! On the free link nearly every event is a `Done` whose handler pushes
+//! the same worker's next `Done`, which the queue turns into one
+//! replace-top (see the `event` module).
 //!
 //! Fail-stop semantics: worker deaths are `Death` events pushed before
 //! anything else, so a failure at time `f` is handled before any other
@@ -284,12 +291,16 @@ impl Link for NetState {
     }
 }
 
-/// A batch waiting on the priced link: in transfer (`pending`) or arrived
-/// (`ready`). Empty when `ids` is — a stored batch holds at least one task.
+/// The batch sent ahead to a worker on the priced link: in transfer, or
+/// landed and waiting for the worker to free up. Empty when `ids` is — a
+/// stored batch holds at least one task.
 #[derive(Default)]
 struct Parked {
     ids: Vec<u32>,
     blocks: u64,
+    /// It lands before the running batch's compute-done, so no `Arrive`
+    /// was queued for it and that `Done` starts it.
+    landed: bool,
 }
 
 /// Per-worker state of one run.
@@ -302,6 +313,8 @@ struct Worker {
     /// the loss.
     dying: bool,
     computing: bool,
+    /// When the batch being computed completes (while `computing`).
+    finish: f64,
     /// Tasks of the batch being computed, written back at `Done` when
     /// return pricing is on.
     done_tasks: usize,
@@ -311,8 +324,8 @@ struct Worker {
     idle_since: f64,
     /// Task ids of the batch a dying worker is computing.
     doomed: Vec<u32>,
+    /// The batch sent ahead (priced links only).
     pending: Parked,
-    ready: Parked,
 }
 
 /// One run of the event loop over link `L`. Every buffer is reused, so
@@ -421,12 +434,12 @@ impl<S: Scheduler, L: Link> Run<S, L> {
             match kind {
                 Event::Death => self.death(k, now, &mut rec),
                 Event::Arrive => {
-                    debug_assert!(!w.pending.ids.is_empty() && w.ready.ids.is_empty());
-                    std::mem::swap(&mut w.pending, &mut w.ready);
-                    // A worker still computing (or doomed) keeps the
-                    // arrived batch until its current one is done.
-                    if !(w.computing || w.dying) {
-                        self.start_ready(k, now, rng, &mut rec);
+                    // Queued only toward a worker that is idle, dying, or
+                    // done computing by the time the batch lands.
+                    debug_assert!(!w.pending.ids.is_empty() && !w.computing);
+                    // A doomed worker never starts it: its death strands it.
+                    if !w.dying {
+                        self.start_pending(k, now, rng, &mut rec);
                     }
                 }
                 Event::Done => {
@@ -443,17 +456,16 @@ impl<S: Scheduler, L: Link> Run<S, L> {
                     }
                     w.computing = false;
                     w.idle_since = now;
-                    if L::PRICED && !w.ready.ids.is_empty() {
-                        self.start_ready(k, now, rng, &mut rec);
-                    } else if !L::PRICED || w.pending.ids.is_empty() {
+                    if !L::PRICED || w.pending.ids.is_empty() {
                         self.request(k, now, rng, &mut rec);
+                    } else if w.pending.landed {
+                        self.start_pending(k, now, rng, &mut rec);
                     }
                     // else: the prefetched batch is still in transfer; its
-                    // arrival starts it.
+                    // `Arrive` starts it.
                 }
                 Event::Retry => {
-                    let has_batch =
-                        L::PRICED && !(w.pending.ids.is_empty() && w.ready.ids.is_empty());
+                    let has_batch = L::PRICED && !w.pending.ids.is_empty();
                     if w.dying || w.computing || has_batch {
                         continue;
                     }
@@ -509,21 +521,18 @@ impl<S: Scheduler, L: Link> Run<S, L> {
     }
 
     /// Worker `k` dies at `now`: the batch it was computing dies with it,
-    /// and a batch in transfer (or arrived but never started) is pure
+    /// and a batch in transfer (or landed but never started) is pure
     /// waste — the master spent the bandwidth, the tasks go back to the
     /// pool.
     fn death<K: StreamingSink>(&mut self, k: ProcId, now: f64, rec: &mut Option<&mut Recorder<K>>) {
         let w = &mut self.workers[k.idx()];
         w.dead = true;
         let doomed = std::mem::take(&mut w.doomed);
-        let stranded = [std::mem::take(&mut w.pending), std::mem::take(&mut w.ready)];
+        let Parked { ids, blocks, .. } = std::mem::take(&mut w.pending);
         if w.dying {
             self.lose(k, &doomed);
         }
-        for Parked { ids, blocks } in stranded {
-            if ids.is_empty() {
-                continue;
-            }
+        if !ids.is_empty() {
             self.ledger.record(k, 0, blocks, 0.0);
             self.ledger.record_wasted(k, blocks);
             self.lose(k, &ids);
@@ -610,11 +619,16 @@ impl<S: Scheduler, L: Link> Run<S, L> {
                 event(EventKind::Transfer, plan.start, k, 0, alloc.blocks, wire),
             );
         }
-        let pending = &mut self.workers[k.idx()].pending;
-        debug_assert!(pending.ids.is_empty(), "one batch in transfer per worker");
-        std::mem::swap(&mut pending.ids, &mut self.batch);
-        pending.blocks = alloc.blocks;
-        self.queue.push(plan.arrival, Event::Arrive, k);
+        let w = &mut self.workers[k.idx()];
+        debug_assert!(w.pending.ids.is_empty(), "one batch in transfer per worker");
+        std::mem::swap(&mut w.pending.ids, &mut self.batch);
+        w.pending.blocks = alloc.blocks;
+        // A batch landing before the running one completes needs no event:
+        // its worker's `Done` starts it.
+        w.pending.landed = w.computing && plan.arrival < w.finish;
+        if !w.pending.landed {
+            self.queue.push(plan.arrival, Event::Arrive, k);
+        }
     }
 
     /// Starts computing a batch of `tasks` tasks and `blocks` blocks on
@@ -651,27 +665,28 @@ impl<S: Scheduler, L: Link> Run<S, L> {
         self.makespan = self.makespan.max(finish);
         let w = &mut self.workers[k.idx()];
         w.computing = true;
+        w.finish = finish;
         w.done_tasks = tasks;
         self.queue.push(finish, Event::Done, k);
         false
     }
 
-    /// Starts the batch that arrived at worker `k` (priced links only) and
+    /// Starts the batch that landed at worker `k` (priced links only) and
     /// prefetches the next one, so its transfer overlaps this computation.
-    fn start_ready<K: StreamingSink>(
+    fn start_pending<K: StreamingSink>(
         &mut self,
         k: ProcId,
         now: f64,
         rng: &mut StdRng,
         rec: &mut Option<&mut Recorder<K>>,
     ) {
-        let ready = &self.workers[k.idx()].ready;
-        let doomed = self.start(k, ready.ids.len(), ready.blocks, now, rng, rec);
+        let pending = &self.workers[k.idx()].pending;
+        let doomed = self.start(k, pending.ids.len(), pending.blocks, now, rng, rec);
         let w = &mut self.workers[k.idx()];
         if doomed {
-            std::mem::swap(&mut w.ready.ids, &mut w.doomed);
+            std::mem::swap(&mut w.pending.ids, &mut w.doomed);
         }
-        w.ready.ids.clear();
+        w.pending.ids.clear();
         // Depth-1 prefetch. The master cannot know a worker is doomed, so
         // dying workers prefetch too — that bandwidth ends up wasted.
         self.request(k, now, rng, rec);
